@@ -8,7 +8,6 @@ statistical pipeline from raw shots to excitation-time ratios.
 
 __version__ = "0.1.0"
 
-from .backend import backend_name
 from .errors import (
     AnalysisError,
     ConfigError,
@@ -22,7 +21,6 @@ from .pulse import PulseSpec, SampledSignal
 
 __all__ = [
     "__version__",
-    "backend_name",
     "NegdelayError",
     "ConfigError",
     "GridError",

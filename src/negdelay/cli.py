@@ -4,9 +4,9 @@ Subcommands: theory (response curves and excitation-time summary),
 simulate (shot-log generation), analyze (post-selection pipeline on a
 log), nullcheck (systematics datasets plus the 2-sigma gate), sweep
 (duration x depth tables). All outputs are CSV or a deterministic
-zip-of-npy shot log; every file carries the schema version, the config
-hash and the active compute backend, and repeated runs are
-byte-identical for a fixed (config, seed, package version).
+zip-of-npy shot log; every file carries the schema version and the
+config hash, and repeated runs are byte-identical for a fixed (config,
+seed, package version).
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from .analysis import (
     integration_window,
     ratio_estimate,
 )
-from .backend import backend_name
 from .errors import AnalysisError, ConfigError, ConvergenceError, NegdelayError
 from .excitation import excited_population, mean_excitation_time, spectral_report
 from .medium import conversion_factor
 from .montecarlo import (
     MODES,
+    CycleData,
     calibrate_detection,
     derive_shapes,
     fine_signal,
@@ -61,7 +61,7 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, run: RunConfig, seed, columns, rows) -> None:
     lines = [
         f"# negdelay schema={SCHEMA_VERSION} version={__version__}",
-        f"# config_hash={run.config_hash} backend={backend_name()}"
+        f"# config_hash={run.config_hash}"
         + (f" seed={seed}" if seed is not None else ""),
         ",".join(columns),
     ]
@@ -77,7 +77,6 @@ def _write_log(path: Path, run: RunConfig, seed, mode, arrays: dict) -> None:
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "config_hash": run.config_hash,
-        "backend": backend_name(),
         "seed": seed,
         "mode": mode,
         "n_cycles": int(arrays["traces"].shape[0]),
@@ -119,30 +118,22 @@ def _read_log(path: Path, run: RunConfig) -> tuple[dict, dict]:
     return meta, arrays
 
 
-class _LogCycles:
-    """Adapts stacked log arrays to the accumulate() cycle protocol."""
-
-    def __init__(self, traces, clicked):
-        self._traces = traces
-        self._clicked = clicked
-
-    def __iter__(self):
-        for i in range(self._traces.shape[0]):
-            yield _LogCycle(self._traces[i], self._clicked[i])
-
-
-class _LogCycle:
-    def __init__(self, traces, clicked):
-        self.traces = traces
-        self.clicked = clicked
+def _prepare(run: RunConfig):
+    """Per-photon shapes and the detection calibration of a campaign."""
+    shapes = derive_shapes(run.medium, run.pulse, run.shot, n_atoms=run.n_atoms)
+    cal = calibrate_detection(
+        shapes.tbar,
+        run.shot.mean_photons,
+        run.shot.target_click_prob,
+        run.shot.background_click_fraction,
+    )
+    return shapes, cal
 
 
 def _theory_traces(run: RunConfig):
     sig = fine_signal(run.medium, run.pulse)
     conv = conversion_factor(run.medium)
-    weak = weak_excitation_trace(
-        sig, run.medium, n_atoms=run.n_atoms, snap_every=run.checkpoint_interval
-    )
+    weak = weak_excitation_trace(sig, run.medium, n_atoms=run.n_atoms)
     phi0 = conv * excited_population(sig, run.medium).values
     phi_t = conv * weak.weak
     return sig, weak, phi0, phi_t
@@ -194,19 +185,7 @@ def _cmd_theory(run: RunConfig, out: Path, args) -> int:
 
 def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
     seed = run.seed if args.seed is None else args.seed
-    shapes = derive_shapes(
-        run.medium,
-        run.pulse,
-        run.shot,
-        n_atoms=run.n_atoms,
-        snap_every=run.checkpoint_interval,
-    )
-    cal = calibrate_detection(
-        shapes.tbar,
-        run.shot.mean_photons,
-        run.shot.target_click_prob,
-        run.shot.background_click_fraction,
-    )
+    shapes, cal = _prepare(run)
     cycles = list(
         run_campaign(
             seed,
@@ -234,14 +213,9 @@ def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def _analyze_cycles(run: RunConfig, cycles, out: Path, seed, gate: bool) -> int:
-    shapes = derive_shapes(
-        run.medium,
-        run.pulse,
-        run.shot,
-        n_atoms=run.n_atoms,
-        snap_every=run.checkpoint_interval,
-    )
+def _analyze_cycles(
+    run: RunConfig, shapes, cycles, out: Path, seed, gate: bool
+) -> int:
     result = accumulate(cycles)
     window = integration_window(shapes.phi_T1, run.window_fraction)
     integral = integral_with_error(
@@ -281,9 +255,12 @@ def _analyze_cycles(run: RunConfig, cycles, out: Path, seed, gate: bool) -> int:
 
 def _cmd_analyze(run: RunConfig, out: Path, args) -> int:
     meta, arrays = _read_log(Path(args.log), run)
+    traces, clicked = arrays["traces"], arrays["clicked"]
+    shapes = derive_shapes(run.medium, run.pulse, run.shot, n_atoms=run.n_atoms)
     return _analyze_cycles(
         run,
-        _LogCycles(arrays["traces"], arrays["clicked"]),
+        shapes,
+        (CycleData(i, traces[i], clicked[i]) for i in range(len(traces))),
         out,
         meta.get("seed"),
         gate=False,
@@ -292,19 +269,7 @@ def _cmd_analyze(run: RunConfig, out: Path, args) -> int:
 
 def _cmd_nullcheck(run: RunConfig, out: Path, args) -> int:
     seed = run.seed if args.seed is None else args.seed
-    shapes = derive_shapes(
-        run.medium,
-        run.pulse,
-        run.shot,
-        n_atoms=run.n_atoms,
-        snap_every=run.checkpoint_interval,
-    )
-    cal = calibrate_detection(
-        shapes.tbar,
-        run.shot.mean_photons,
-        run.shot.target_click_prob,
-        run.shot.background_click_fraction,
-    )
+    shapes, cal = _prepare(run)
     cycles = run_campaign(
         seed,
         run.n_cycles,
@@ -314,7 +279,7 @@ def _cmd_nullcheck(run: RunConfig, out: Path, args) -> int:
         mode=args.kind,
         jobs=args.jobs,
     )
-    return _analyze_cycles(run, cycles, out, seed, gate=True)
+    return _analyze_cycles(run, shapes, cycles, out, seed, gate=True)
 
 
 def _cmd_sweep(run: RunConfig, out: Path, args) -> int:
@@ -325,12 +290,7 @@ def _cmd_sweep(run: RunConfig, out: Path, args) -> int:
             pulse = replace(run.pulse, sigma_rms=sigma_ns * 1e-9)
             sig = fine_signal(medium, pulse)
             rep = spectral_report(sig, medium)
-            weak = weak_excitation_trace(
-                sig,
-                medium,
-                n_atoms=run.n_atoms,
-                snap_every=run.checkpoint_interval,
-            )
+            weak = weak_excitation_trace(sig, medium, n_atoms=run.n_atoms)
             tau_t_oracle = weak.tau_transmitted()
             rows.append(
                 (

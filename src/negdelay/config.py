@@ -87,6 +87,7 @@ _SCHEMA = {
     "campaign.n_cycles": (_int, 100),
     "campaign.seed": (_int, 0),
     "oracle.n_atoms": (_int, 64),
+    # inert since the oracle keeps no checkpoints; kept so config hashes hold
     "oracle.checkpoint_interval": (_int, 64),
     "analysis.window_fraction": (_float, 0.3),
     "sweep.sigma_rms_ns": (_float_list, (10.0, 18.0, 27.0, 36.0)),

@@ -226,10 +226,12 @@ def derive_shapes(
 ) -> PerPhotonShapes:
     """Per-photon phase shapes: conditional trace from the collision
     model, unconditioned trace from the slab model, scattered shape from
-    the decomposition identity."""
+    the decomposition identity.
+
+    ``snap_every`` is ignored: the collision model keeps no checkpoints."""
     sig = fine_signal(medium, pulse)
     conv = conversion_factor(medium)
-    weak = weak_excitation_trace(sig, medium, n_atoms=n_atoms, snap_every=snap_every)
+    weak = weak_excitation_trace(sig, medium, n_atoms=n_atoms)
     phi_t_fine = conv * weak.weak
     phi_0_fine = conv * excited_population(sig, medium).values
     tbar = transmission_probability(sig, medium)

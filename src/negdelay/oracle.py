@@ -27,6 +27,14 @@ implied by th is gamma_f = th^2 / dt and the side rate gamma_s =
 gamma - gamma_f, which feeds back into d; the two-line fixed point
 converges in a handful of iterations.
 
+Each emitter is a first-order linear filter on the bin stream. With
+hd = exp(-gamma_s dt / 4), p = cos(th) hd^2 and q = -i sin(th) hd, one step
+maps (e_k, b) -> (p e_k + q b, cos(th) b + q e_k), so every emitter passes
+its input on through H(z) = cos(th) + q^2 z^-1 / (1 - p z^-1), and emitter
+k's state is the chain input filtered by q z^-1 / (1 - p z^-1) H(z)^k: the
+cascaded-systems picture of Gardiner (PRL 70, 2269, 1993) and Carmichael
+(PRL 70, 2273, 1993).
+
 The conditional (transmitted-photon) excitation trace is a two-sided
 product: evolve the initial state forward to psi(t), evolve the
 transmission-projected final state backward through the adjoint map to
@@ -36,17 +44,21 @@ chi(t), and form
 
 with P_exc the emitter-excitation projector. W(t) integrates to the
 transmitted excitation time and, unlike the unconditioned population, can
-go negative. The backward sweep reuses the forward emitter states through
-block checkpoints instead of storing the whole trajectory.
+go negative. The adjoint map runs the chain backwards on the time-reversed
+output with conj(q) for q; q^2 is real, so emitter k's adjoint state is
+that input filtered by conj(q) / (1 - p z^-1) H(z)^(N-1-k). Both sweeps
+are products of spectra, one inverse FFT per emitter and direction, on a
+frame padded by PAD_LIFETIMES lifetimes: the reversed output ends with the
+pulse, and its ringdown must decay before it wraps around.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import njit
 from .errors import ConvergenceError, GridError
 from .medium import MediumSpec
 from .pulse import SampledSignal
@@ -69,6 +81,8 @@ STEP_SIGMA_FRACTION = 0.05
 #: weak-extinction bound per emitter; beyond it the chain no longer
 #: approximates a Lorentzian slab even though the calibration converges
 MAX_OD_PER_ATOM = 0.25
+#: zero padding of the FFT frame past the pulse grid, in natural lifetimes
+PAD_LIFETIMES = 48
 
 
 @dataclass(frozen=True)
@@ -187,79 +201,14 @@ def max_step(medium: MediumSpec, sigma_rms: float) -> float:
     )
 
 
-# ---------------------------------------------------------------------------
-# JIT kernels (module-level -- Numba requirement)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _forward_sweep(bins, out, snaps, ne, n_atoms, c, s, hd, snap_every):
-    n_steps = bins.shape[0]
-    atoms = np.zeros(n_atoms, np.complex128)
-    for j in range(n_steps):
-        if j % snap_every == 0:
-            snaps[j // snap_every] = atoms
-        for k in range(n_atoms):
-            atoms[k] *= hd
-        b = bins[j]
-        for k in range(n_atoms):
-            bk = c * b - 1j * s * atoms[k]
-            atoms[k] = -1j * s * b + c * atoms[k]
-            b = bk
-        out[j] = b
-        for k in range(n_atoms):
-            atoms[k] *= hd
-        acc = 0.0
-        for k in range(n_atoms):
-            acc += atoms[k].real ** 2 + atoms[k].imag ** 2
-        ne[j + 1] = acc
-
-
-@njit(cache=True)
-def _backward_sweep(bins, out, snaps, weak, n_atoms, c, s, hd, snap_every, dnorm):
-    n_steps = bins.shape[0]
-    n_blocks = snaps.shape[0]
-    chi = np.zeros(n_atoms, np.complex128)
-    psi = np.empty((snap_every, n_atoms), np.complex128)
-    atoms = np.empty(n_atoms, np.complex128)
-    for blk in range(n_blocks - 1, -1, -1):
-        j0 = blk * snap_every
-        j1 = min(j0 + snap_every, n_steps)
-        # replay the block: psi[j - j0] is the emitter state before step j
-        atoms[:] = snaps[blk]
-        for j in range(j0, j1):
-            psi[j - j0] = atoms
-            for k in range(n_atoms):
-                atoms[k] *= hd
-            b = bins[j]
-            for k in range(n_atoms):
-                bk = c * b - 1j * s * atoms[k]
-                atoms[k] = -1j * s * b + c * atoms[k]
-                b = bk
-            for k in range(n_atoms):
-                atoms[k] *= hd
-        # adjoint pass: conjugate rotations, reversed emitter order
-        for j in range(j1 - 1, j0 - 1, -1):
-            for k in range(n_atoms):
-                chi[k] *= hd
-            b = out[j]
-            for k in range(n_atoms - 1, -1, -1):
-                bk = c * b + 1j * s * chi[k]
-                chi[k] = 1j * s * b + c * chi[k]
-                b = bk
-            for k in range(n_atoms):
-                chi[k] *= hd
-            acc = 0.0
-            for k in range(n_atoms):
-                acc += (chi[k].conjugate() * psi[j - j0, k]).real
-            weak[j] = acc / dnorm
+def _frame_length(n_steps: int, gamma: float, dt: float) -> int:
+    """Power-of-two FFT length: the grid plus PAD_LIFETIMES of ringdown."""
+    need = n_steps + math.ceil(PAD_LIFETIMES / (gamma * dt))
+    return 1 << (need - 1).bit_length()
 
 
 def weak_excitation_trace(
-    sig: SampledSignal,
-    medium: MediumSpec,
-    n_atoms: int = 64,
-    snap_every: int = 64,
+    sig: SampledSignal, medium: MediumSpec, n_atoms: int = 64
 ) -> WeakTrace:
     """Conditional and unconditioned excitation traces for one pulse.
 
@@ -267,36 +216,63 @@ def weak_excitation_trace(
     pulse builders: residual emitter population at the last sample above
     1e-6 is rejected as an under-resolved ringdown.
     """
-    if snap_every < 1:
-        raise GridError("snapshot stride must be at least 1")
     model = build_model(medium, sig.dt, n_atoms=n_atoms)
-    c = float(np.cos(model.theta))
-    s = float(np.sin(model.theta))
-    hd = float(np.exp(-model.gamma_side * model.dt / 4.0))
+    c = np.cos(model.theta)
+    s = np.sin(model.theta) * np.exp(-model.gamma_side * model.dt / 4.0)
+    p = c * np.exp(-model.gamma_side * model.dt / 2.0)
+    q = -1j * s
 
-    bins = np.ascontiguousarray(sig.samples * np.sqrt(sig.dt))
-    n_steps = bins.shape[0]
-    n_blocks = -(-n_steps // snap_every)
-    out = np.empty(n_steps, np.complex128)
-    snaps = np.zeros((n_blocks, n_atoms), np.complex128)
-    ne = np.zeros(n_steps + 1)
-    _forward_sweep(bins, out, snaps, ne, n_atoms, c, s, hd, snap_every)
+    n = sig.n
+    size = _frame_length(n, medium.gamma, sig.dt)
+    # four spectra on the DFT grid, z^-1 = exp(-2 pi i m / size)
+    h = np.arange(size) * (-2j * np.pi / size)
+    np.exp(h, out=h)
+    fb = 1.0 / (1.0 - p * h)
+    h *= fb
+    fb *= np.conj(q)  # adjoint state filter, before the H^(N-1-k) factor
+    buf = np.fft.fft(sig.samples, size)
+    buf *= np.sqrt(sig.dt)  # chain input: one bin holds E(t_j) sqrt(dt)
+    fa = q * h * buf  # emitter 0's state
+    h *= q * q
+    h += c  # H(z)
 
-    norm_in = float(np.sum(bins.real**2 + bins.imag**2))
-    transmission = float(np.sum(out.real**2 + out.imag**2)) / norm_in
+    # transmitted bins: the input through all n_atoms filters
+    for _ in range(n_atoms):
+        buf *= h
+    np.fft.ifft(buf, out=buf)
+    norm_in = sig.dt * float(np.vdot(sig.samples, sig.samples).real)
+    dnorm = float(np.vdot(buf[:n], buf[:n]).real)
+    transmission = dnorm / norm_in
+    # the adjoint runs on the time-reversed transmitted bins
+    buf[:n] = buf[n - 1 :: -1]
+    buf[n:] = 0.0
+    fb *= np.fft.fft(buf, out=buf)
+    for _ in range(n_atoms - 1):
+        fb *= h
+
+    # per emitter: its state after each step, held conjugated, then its
+    # adjoint state; the state before step j pairs with index n - 1 - j
+    # of the reversed frame
+    ne = np.zeros(n + 1)
+    weak = np.zeros(n + 1)
+    state = np.empty(n, np.complex128)
+    for _ in range(n_atoms):
+        np.fft.ifft(fa, out=buf)
+        np.conjugate(buf[1 : n + 1], out=state)
+        ne[1:] += state.real**2 + state.imag**2
+        np.fft.ifft(fb, out=buf)
+        weak[1:n] += (buf[n - 2 :: -1] * state[:-1]).real
+        fa *= h
+        fb /= h
+
     if ne[-1] > 1e-6:
         raise GridError(
             f"residual excitation {ne[-1]:.2e} at the grid edge; "
             "extend the tail"
         )
-    dnorm = transmission * norm_in
     if dnorm <= 0.0:
         raise ConvergenceError("post-selection norm vanished")
-
-    weak = np.zeros(n_steps + 1)
-    _backward_sweep(
-        bins, out, snaps, weak, n_atoms, c, s, hd, snap_every, dnorm
-    )
+    weak /= dnorm
     return WeakTrace(
         dt=sig.dt,
         t0=sig.t0,

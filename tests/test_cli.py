@@ -24,7 +24,6 @@ def _check_header(path, hash_=None):
     lines = path.read_text().splitlines()
     assert lines[0] == f"# negdelay schema=1 version={__version__}"
     assert lines[1].startswith("# config_hash=")
-    assert "backend=" in lines[1]
     if hash_ is not None:
         assert f"config_hash={hash_}" in lines[1]
     return lines
