@@ -16,7 +16,7 @@ from .errors import (
     NegdelayError,
     PostSelectionError,
 )
-from .medium import MediumSpec, StarkParams
+from .medium import MediumSpec
 from .pulse import PulseSpec, SampledSignal
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "AnalysisError",
     "PostSelectionError",
     "MediumSpec",
-    "StarkParams",
     "PulseSpec",
     "SampledSignal",
 ]

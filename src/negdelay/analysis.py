@@ -35,7 +35,6 @@ __all__ = [
     "ratio_estimate",
     "fit_gaussian",
     "time_align",
-    "calibration_slope",
     "bootstrap_sigma",
 ]
 
@@ -373,36 +372,6 @@ def time_align(
     ft = fit_gaussian(theory_trace, theory_dt)
     shift = (exp_t0 + fe.center) - (theory_t0 + ft.center)
     return shift, float(np.hypot(fe.center_err, ft.center_err))
-
-
-def calibration_slope(points) -> tuple[float, float]:
-    """OLS slope (with intercept) of peak phase versus photon number.
-
-    Points at or above 2000 photons sit in the saturation regime and are
-    rejected rather than fitted.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise AnalysisError("points must be (photon_number, peak_phase) pairs")
-    if pts.shape[0] < 2:
-        raise AnalysisError("need at least two calibration points")
-    x, y = pts[:, 0], pts[:, 1]
-    if np.any(x >= 2000.0):
-        raise AnalysisError(
-            "calibration point at >= 2000 photons lies in the saturation "
-            "regime"
-        )
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise AnalysisError("calibration points share one photon number")
-    slope = float(xc @ y) / sxx
-    n = x.size
-    if n == 2:
-        return slope, 0.0
-    resid = y - y.mean() - slope * xc
-    stderr = float(np.sqrt((resid @ resid) / (n - 2) / sxx))
-    return slope, stderr
 
 
 def bootstrap_sigma(

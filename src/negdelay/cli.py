@@ -292,6 +292,10 @@ def _cmd_sweep(run: RunConfig, out: Path, args) -> int:
             rep = spectral_report(sig, medium)
             weak = weak_excitation_trace(sig, medium, n_atoms=run.n_atoms)
             tau_t_oracle = weak.tau_transmitted()
+            if rep.tau_0 != 0.0:
+                ratios = (rep.ratio, tau_t_oracle / rep.tau_0)
+            else:  # transparent medium: no photon is ever excited
+                ratios = ("NA", "NA")
             rows.append(
                 (
                     sigma_ns,
@@ -300,8 +304,7 @@ def _cmd_sweep(run: RunConfig, out: Path, args) -> int:
                     rep.tau_0 * 1e9,
                     rep.tau_T * 1e9,
                     tau_t_oracle * 1e9,
-                    rep.ratio,
-                    tau_t_oracle / rep.tau_0,
+                    *ratios,
                 )
             )
     _write_csv(

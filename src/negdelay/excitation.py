@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 from .medium import (
     MediumSpec,
     conversion_factor,
@@ -48,14 +48,10 @@ __all__ = [
     "ExcitationTrace",
     "ExcitationReport",
     "excited_population",
-    "check_slab_convergence",
     "mean_excitation_time",
     "transmitted_excitation_time",
     "spectral_report",
     "phi0_trace",
-    "calibrate_phase_scale",
-    "phi_integral_prediction",
-    "mixed_partial_pair",
 ]
 
 
@@ -99,55 +95,28 @@ class ExcitationReport:
             raise ConfigError(f"unknown method {self.method!r}")
 
 
-def _slab_depths(medium: MediumSpec) -> tuple[np.ndarray, float]:
-    w = medium.od / medium.n_slabs
-    mids = (np.arange(medium.n_slabs) + 0.5) * w
-    return mids, w
-
-
-def excited_population(
-    sig: SampledSignal, medium: MediumSpec, _n_slabs: int | None = None
-) -> ExcitationTrace:
+def excited_population(sig: SampledSignal, medium: MediumSpec) -> ExcitationTrace:
     """Excited population N_e(t) per incident photon on the pulse grid.
 
-    Converges quadratically in the slab count; a doubling check against
-    2 * n_slabs is available through :func:`check_slab_convergence`.
+    Converges quadratically in ``medium.n_slabs``; at the default count,
+    doubling it changes integral(N_e dt) by less than 1e-3 relative.
     """
-    n_slabs = medium.n_slabs if _n_slabs is None else _n_slabs
     n = sig.n
     delta = grid_frequencies(n, sig.dt)
     line = lineshape(delta, medium.gamma)
     spec = np.fft.ifft(sig.samples)  # grid-relative spectrum / (n dt)
     kernel = (np.sqrt(medium.gamma) / 2.0) / (medium.gamma / 2.0 - 1j * delta)
     base = spec * kernel
-    w = medium.od / n_slabs
+    w = medium.od / medium.n_slabs
     half = np.exp(-(w / 4.0) * line)  # amplitude to first slab midpoint
     step = np.exp(-(w / 2.0) * line)
     values = np.zeros(n)
     filt = half.copy()
-    for _ in range(n_slabs):
+    for _ in range(medium.n_slabs):
         ck = np.fft.fft(base * filt)
         values += w * (ck.real**2 + ck.imag**2)
         filt *= step
     return ExcitationTrace(dt=sig.dt, t0=sig.t0, values=values)
-
-
-def check_slab_convergence(
-    sig: SampledSignal, medium: MediumSpec, rel_tol: float = 1e-3
-) -> float:
-    """Doubling check on integral(N_e dt); raises if not converged.
-
-    Returns the relative change between n_slabs and 2 * n_slabs.
-    """
-    a = excited_population(sig, medium).integral()
-    b = excited_population(sig, medium, _n_slabs=2 * medium.n_slabs).integral()
-    change = abs(b - a) / abs(b)
-    if change > rel_tol:
-        raise ConvergenceError(
-            f"slab refinement changed the excitation integral by {change:.2e} "
-            f"(> {rel_tol:.0e}); increase n_slabs"
-        )
-    return change
 
 
 def mean_excitation_time(sig: SampledSignal, medium: MediumSpec) -> float:
@@ -187,57 +156,3 @@ def phi0_trace(sig: SampledSignal, medium: MediumSpec) -> np.ndarray:
     ne = excited_population(sig, medium)
     return conversion_factor(medium) * ne.values
 
-
-def calibrate_phase_scale(
-    sig: SampledSignal, medium: MediumSpec, target_peak: float
-) -> float:
-    """sigma0/A that puts the peak of |phi_0| at ``target_peak`` radians.
-
-    The peak is exactly linear in sigma0/A, so a single evaluation at the
-    current value fixes the answer; no iteration is needed.
-    """
-    if target_peak <= 0.0:
-        raise ConfigError("target peak phase must be positive")
-    peak = np.abs(phi0_trace(sig, medium)).max()
-    if peak == 0.0:
-        raise ConfigError("zero excitation trace; cannot calibrate phase scale")
-    scale = target_peak / peak
-    out = medium.sigma0_over_area * scale
-    if not 0.0 < out <= 1.0:
-        raise ConfigError(
-            f"calibrated sigma0_over_area = {out:.3e} outside (0, 1]"
-        )
-    return out
-
-
-def phi_integral_prediction(medium: MediumSpec, tau_g: float) -> float:
-    """Predicted integral(phi_T dt) in rad*s for a given group delay.
-
-    Equal to -tau_g times the integrated per-photon resonance shift, which
-    collapses to C * (omega_p/omega_0) * tau_g; zero when tau_g is zero and
-    odd in tau_g.
-    """
-    from .medium import single_photon_stark_phase
-
-    return -tau_g * single_photon_stark_phase(medium)
-
-
-def mixed_partial_pair(phase_surface: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both orderings of the mixed second difference of a phase surface.
-
-    ``phase_surface[m, n]`` is the phase at integer photon numbers (m, n).
-    Central differences with unit step are applied first along m then n,
-    and first along n then m. The two results are algebraically identical
-    (measured cross-phases cannot depend on differentiation order); they
-    are returned separately so float agreement can be asserted.
-
-    Output arrays cover interior points, shape (M-2, N-2).
-    """
-    p = np.asarray(phase_surface, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] < 3 or p.shape[1] < 3:
-        raise ConfigError("phase surface must be at least 3 x 3")
-    dm = 0.5 * (p[2:, :] - p[:-2, :])
-    dm_dn = 0.5 * (dm[:, 2:] - dm[:, :-2])
-    dn = 0.5 * (p[:, 2:] - p[:, :-2])
-    dn_dm = 0.5 * (dn[2:, :] - dn[:-2, :])
-    return dm_dn, dn_dm

@@ -35,15 +35,10 @@ from .errors import ConfigError
 
 __all__ = [
     "MediumSpec",
-    "StarkParams",
     "lineshape",
     "transfer_function",
     "group_delay",
-    "scattering_probability",
-    "ac_stark_shift",
     "conversion_factor",
-    "single_photon_stark_phase",
-    "transmitted_time_from_group_delay",
 ]
 
 
@@ -88,19 +83,6 @@ class MediumSpec:
             raise ConfigError(f"n_slabs must be >= 1, got {self.n_slabs}")
 
 
-@dataclass(frozen=True)
-class StarkParams:
-    """Probe intensity relative to saturation, I/I_sat >= 0."""
-
-    intensity_ratio: float
-
-    def __post_init__(self):
-        if not self.intensity_ratio >= 0.0:
-            raise ConfigError(
-                f"intensity_ratio must be >= 0, got {self.intensity_ratio}"
-            )
-
-
 def lineshape(delta, gamma: float):
     """Complex Lorentzian L(delta) = 1/(1 - 2i delta/gamma).
 
@@ -133,26 +115,6 @@ def group_delay(delta, od: float, gamma: float):
     return -(od / gamma) * (1.0 - x2) / (1.0 + x2) ** 2
 
 
-def scattering_probability(od: float) -> float:
-    """Narrowband scattering probability P_S = 1 - exp(-od)."""
-    if od < 0.0:
-        raise ConfigError(f"optical depth must be >= 0, got {od}")
-    return 1.0 - np.exp(-od)
-
-
-def ac_stark_shift(medium: MediumSpec, stark: StarkParams) -> float:
-    """ac Stark shift of the atomic resonance from the probe, rad/s.
-
-        delta_omega = -(I/I_sat) * Delta / (1 + (2 Delta/gamma)^2)
-
-    Odd in the probe detuning and linear in the intensity ratio.
-    """
-    x = 2.0 * medium.probe_detuning / medium.gamma
-    return (
-        -stark.intensity_ratio * medium.probe_detuning / (1.0 + x * x)
-    )
-
-
 def conversion_factor(medium: MediumSpec) -> float:
     """Phase per integrated unit of excited-atom time, C (radians).
 
@@ -170,21 +132,3 @@ def conversion_factor(medium: MediumSpec) -> float:
         * (medium.probe_detuning / (1.0 + x * x))
         * medium.sigma0_over_area
     )
-
-
-def single_photon_stark_phase(medium: MediumSpec) -> float:
-    """Integrated resonance shift per probe photon, radians.
-
-    Time integral of the instantaneous Stark shift divided by the probe
-    photon number in the window; photon-flux normalization cancels the
-    window duration. Equals -C * (omega_p/omega_0), so
-
-        integral(phi_T dt) = -tau_g * single_photon_stark_phase
-                           = C * (omega_p/omega_0) * tau_g.
-    """
-    return -conversion_factor(medium) * (medium.omega_probe / medium.omega_atom)
-
-
-def transmitted_time_from_group_delay(medium: MediumSpec, tau_g: float) -> float:
-    """Excitation time per transmitted photon, tau_T = (omega_p/omega_0) tau_g."""
-    return (medium.omega_probe / medium.omega_atom) * tau_g

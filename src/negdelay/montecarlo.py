@@ -23,8 +23,8 @@ phi_T1 but kappa * phi_T1 with
 which follows from thinning (n_T is Poisson(lam), independent of n_S)
 and the tilted mean E[n_T | no detection] = lam (1 - eta). kappa -> 1
 as eta -> 0: detecting one photon then raises the inferred transmitted
-number by exactly one. Both the closed form and a brute-force
-enumeration over the Poisson support are provided and must agree.
+number by exactly one. ``kappa_enumeration`` evaluates kappa by direct
+summation over the Poisson support, independently of the closed form.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .pulse import PulseSpec, gaussian_field, transmission_probability
 
 __all__ = [
     "ShotConfig",
-    "ShotRecord",
     "CycleData",
     "PerPhotonShapes",
     "DetectionCalibration",
@@ -53,10 +52,8 @@ __all__ = [
     "fine_signal",
     "derive_shapes",
     "calibrate_detection",
-    "kappa_closed_form",
     "kappa_enumeration",
     "simulate_cycle",
-    "simulate_shot",
     "run_campaign",
     "null_dataset",
 ]
@@ -110,25 +107,6 @@ class ShotConfig:
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    phase_samples: np.ndarray
-    clicked: bool
-    n_transmitted: int = 0
-    n_scattered: int = 0
-    background_clicked: bool = False
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.phase_samples)):
-            raise ConfigError("phase samples must be finite")
-        if self.background_clicked and not self.clicked:
-            raise ConfigError("background event recorded but shot not clicked")
-        if self.clicked and not self.background_clicked and self.n_transmitted == 0:
-            raise ConfigError(
-                "clicked shot has neither background nor transmitted photons"
-            )
-
-
-@dataclass(frozen=True)
 class CycleData:
     """One atom cycle of shots, kept as arrays for accumulation."""
 
@@ -177,10 +155,6 @@ class DetectionCalibration:
     p_bg: float
     lam: float  # mean transmitted photons per shot, mu * tbar
     target_click_prob: float
-
-    @property
-    def kappa(self) -> float:
-        return kappa_closed_form(self.eta, self.lam, self.p_bg)
 
 
 def bin_average(
@@ -295,21 +269,14 @@ def calibrate_detection(
     )
 
 
-def kappa_closed_form(eta: float, lam: float, p_bg: float) -> float:
-    """Poisson-conditioning factor lam eta / P(click)."""
-    p_click = 1.0 - (1.0 - p_bg) * math.exp(-lam * eta)
-    if p_click == 0.0:
-        return 1.0  # eta -> 0 limit with no background
-    return lam * eta / p_click
-
-
 def kappa_enumeration(
     eta: float, lam: float, p_bg: float, n_max: int = 200
 ) -> float:
-    """Same factor by direct summation over the Poisson support.
+    """Poisson-conditioning factor kappa by direct summation over the
+    Poisson support.
 
-    Kept deliberately independent of the closed form; the two must agree
-    to float precision for any admissible (eta, lam, p_bg).
+    Deliberately independent of the closed form lam eta / P(click); the
+    two agree to float precision for any admissible (eta, lam, p_bg).
     """
     if lam < 0.0:
         raise ConfigError("mean transmitted photon number must be >= 0")
@@ -414,25 +381,6 @@ def simulate_cycle(
             background_clicked=bg,
         )
     return CycleData(cycle=cycle, traces=traces, clicked=clicked)
-
-
-def simulate_shot(
-    rng: np.random.Generator,
-    shapes: PerPhotonShapes,
-    config: ShotConfig,
-    cal: DetectionCalibration,
-    mode: str = "normal",
-) -> ShotRecord:
-    """Single-shot convenience wrapper with the same draw order."""
-    one = replace(config, shots_per_cycle=1)
-    data = simulate_cycle(rng, shapes, one, cal, mode=mode, truth=True)
-    return ShotRecord(
-        phase_samples=data.traces[0],
-        clicked=bool(data.clicked[0]),
-        n_transmitted=int(data.n_transmitted[0]),
-        n_scattered=int(data.n_scattered[0]),
-        background_clicked=bool(data.background_clicked[0]),
-    )
 
 
 def run_campaign(

@@ -68,7 +68,6 @@ __all__ = [
     "WeakTrace",
     "MAX_OD_PER_ATOM",
     "calibrate_rotation",
-    "resonant_amplitude",
     "build_model",
     "max_step",
     "weak_excitation_trace",
@@ -160,12 +159,6 @@ def calibrate_rotation(
         theta_prev = theta
         theta = theta_new
     raise ConvergenceError("rotation-angle fixed point did not converge")
-
-
-def resonant_amplitude(theta: float, gamma_side: float, dt: float) -> float:
-    """Steady-state resonant amplitude ratio of one calibrated emitter."""
-    d = np.exp(-gamma_side * dt / 2.0)
-    return float((np.cos(theta) - d) / (1.0 - d * np.cos(theta)))
 
 
 def build_model(

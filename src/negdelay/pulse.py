@@ -1,4 +1,4 @@
-"""Sampled Gaussian pulses and dispersive propagation.
+"""Sampled Gaussian pulses and their transmission through the medium.
 
 Fields are complex envelopes E(t) on a uniform grid, normalized so that
 sum(|E|^2) * dt = 1 (one photon's worth of probability per pulse). The
@@ -31,9 +31,6 @@ __all__ = [
     "PulseSpec",
     "SampledSignal",
     "gaussian_field",
-    "to_spectrum",
-    "to_time",
-    "propagate",
     "transmission_probability",
 ]
 
@@ -64,12 +61,10 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Uniformly sampled complex series.
+    """Uniformly sampled complex field on a time grid.
 
-    In the time domain ``dt``/``t0`` are seconds; for spectra produced by
-    :func:`to_spectrum` they are the angular-frequency step and the lowest
-    grid frequency (rad/s), with samples sorted by ascending frequency.
-    Length must be a power of two (>= 2) for the FFT round trip.
+    ``dt`` is the sample step and ``t0`` the first sample time, seconds.
+    Length must be a power of two (>= 2) for the FFTs.
     """
 
     dt: float
@@ -91,7 +86,7 @@ class SampledSignal:
         return len(self.samples)
 
     def axis(self) -> np.ndarray:
-        """Sample coordinates (time or angular frequency)."""
+        """Sample times, seconds."""
         return self.t0 + self.dt * np.arange(self.n)
 
 
@@ -142,47 +137,6 @@ def _check_span(t, center: float, sigma: float, gamma: float):
 def grid_frequencies(n: int, dt: float) -> np.ndarray:
     """Angular frequencies of the length-n DFT, in FFT ordering."""
     return 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
-
-
-def to_spectrum(sig: SampledSignal) -> SampledSignal:
-    """Forward transform to the physical spectrum E~(delta).
-
-    Returns a frequency-domain :class:`SampledSignal` sorted by ascending
-    angular frequency; Parseval holds in the form
-    sum(|E~|^2) * ddelta / (2 pi) = sum(|E|^2) * dt.
-    """
-    n = sig.n
-    delta = grid_frequencies(n, sig.dt)
-    spec = n * np.fft.ifft(sig.samples) * sig.dt * np.exp(1j * delta * sig.t0)
-    ddelta = 2.0 * np.pi / (n * sig.dt)
-    return SampledSignal(
-        dt=ddelta,
-        t0=float(np.fft.fftshift(delta)[0]),
-        samples=np.fft.fftshift(spec),
-    )
-
-
-def to_time(spec: SampledSignal, t0: float = 0.0) -> SampledSignal:
-    """Inverse transform back to a time grid starting at ``t0``."""
-    n = spec.n
-    dt = 2.0 * np.pi / (n * spec.dt)
-    delta = np.fft.ifftshift(spec.t0 + spec.dt * np.arange(n))
-    work = np.fft.ifftshift(spec.samples) * np.exp(-1j * delta * t0)
-    samples = np.fft.fft(work) / (n * dt)
-    return SampledSignal(dt=dt, t0=t0, samples=samples)
-
-
-def propagate(sig: SampledSignal, medium: MediumSpec) -> SampledSignal:
-    """Pass a time-domain field through the medium.
-
-    Spectrum-side multiplication by t(delta); returns the transmitted
-    field on the same grid.
-    """
-    n = sig.n
-    delta = grid_frequencies(n, sig.dt)
-    spec = np.fft.ifft(sig.samples)
-    spec *= transfer_function(delta, medium.od, medium.gamma)
-    return SampledSignal(dt=sig.dt, t0=sig.t0, samples=np.fft.fft(spec))
 
 
 def transmission_probability(sig: SampledSignal, medium: MediumSpec) -> float:

@@ -1,5 +1,5 @@
 """Post-selection statistics: accumulator algebra, windowed integrals,
-error propagation, fits and the calibration regression."""
+error propagation, fits, alignment and the bootstrap."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from negdelay.analysis import (
     PostSelectedResult,
     accumulate,
     bootstrap_sigma,
-    calibration_slope,
     fit_gaussian,
     integral_with_error,
     integrate_trapz,
@@ -314,50 +313,6 @@ def test_time_align_recovers_injected_shift():
     shift, err = time_align(exp, exp_dt, theory, th_dt, exp_t0=-100e-9)
     assert shift == pytest.approx(252e-9, rel=1e-6)
     assert err >= 0.0
-
-
-# ------------------------------------------------- calibration slope
-
-def test_slope_exact_line():
-    x = np.array([50.0, 100.0, 200.0, 400.0, 800.0])
-    y = -5.3e-7 * x + 2e-6
-    slope, err = calibration_slope(np.column_stack([x, y]))
-    assert slope == pytest.approx(-5.3e-7, rel=1e-12)
-    assert err < 1e-20
-
-
-def test_slope_two_points_have_no_error_estimate():
-    slope, err = calibration_slope([[100.0, 1e-5], [200.0, 3e-5]])
-    assert slope == pytest.approx(2e-7, rel=1e-12)
-    assert err == 0.0
-
-
-def test_slope_guards():
-    with pytest.raises(AnalysisError, match="saturation"):
-        calibration_slope([[100.0, 1e-5], [2000.0, 2e-4]])
-    with pytest.raises(AnalysisError, match="share one photon number"):
-        calibration_slope([[100.0, 1e-5], [100.0, 2e-5]])
-    with pytest.raises(AnalysisError, match="at least two"):
-        calibration_slope([[100.0, 1e-5]])
-    with pytest.raises(AnalysisError, match="pairs"):
-        calibration_slope(np.ones(3))
-    with pytest.raises(AnalysisError, match="pairs"):
-        calibration_slope(np.ones((2, 3)))
-
-
-def test_slope_error_bar_coverage():
-    """With 5 points the stderr has 3 degrees of freedom, so the
-    2-sigma band covers ~86% (Student t), not the Gaussian 95%. The
-    count at this seed is frozen; a change means the estimator moved."""
-    rng = np.random.default_rng(7)
-    x = np.array([50.0, 100.0, 200.0, 400.0, 800.0])
-    true = -5.3e-7
-    hits = 0
-    for _ in range(100):
-        y = true * x + 2e-6 + rng.normal(0.0, 4e-5, size=x.size)
-        slope, err = calibration_slope(np.column_stack([x, y]))
-        hits += abs(slope - true) < 2.0 * err
-    assert hits == 84
 
 
 # ----------------------------------------------------------- bootstrap

@@ -168,6 +168,17 @@ def test_sweep_table(tmp_path):
     assert r10 > 0.0 > r36
 
 
+def test_sweep_transparent_medium_reports_na(tmp_path):
+    cfg = _cfg(tmp_path, "sweep.od = 0, 2\nsweep.sigma_rms_ns = 10\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[3:]]
+    assert [float(r[1]) for r in rows] == [0.0, 2.0]
+    assert rows[0][6:] == ["NA", "NA"]
+    assert float(rows[1][6]) > 0.0 and float(rows[1][7]) > 0.0
+
+
 @pytest.mark.parametrize(
     "text, msg",
     [

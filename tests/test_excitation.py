@@ -6,17 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from negdelay.errors import ConfigError, ConvergenceError
+from negdelay.errors import ConfigError
 from negdelay.excitation import (
     ExcitationReport,
     ExcitationTrace,
-    calibrate_phase_scale,
-    check_slab_convergence,
     excited_population,
     mean_excitation_time,
-    mixed_partial_pair,
     phi0_trace,
-    phi_integral_prediction,
     spectral_report,
     transmitted_excitation_time,
 )
@@ -113,14 +109,21 @@ def test_vanishing_depth_limit_weights_by_input_spectrum(run):
     assert tau == pytest.approx(expected, rel=1e-6)
 
 
+def _slab_doubling_change(sig, medium):
+    """Relative change of integral(N_e dt) from n_slabs to 2 * n_slabs."""
+    a = excited_population(sig, medium).integral()
+    doubled = replace(medium, n_slabs=2 * medium.n_slabs)
+    b = excited_population(sig, doubled).integral()
+    return abs(b - a) / abs(b)
+
+
 def test_slab_convergence_at_default_count(run, fine_sig):
-    assert check_slab_convergence(fine_sig, run.medium) < 1e-3
+    assert _slab_doubling_change(fine_sig, run.medium) < 1e-3
 
 
 def test_slab_convergence_rejects_coarse_clouds(run, fine_sig):
     m = replace(run.medium, n_slabs=2)
-    with pytest.raises(ConvergenceError, match="increase n_slabs"):
-        check_slab_convergence(fine_sig, m)
+    assert _slab_doubling_change(fine_sig, m) > 1e-3
 
 
 def test_phi0_is_scaled_population(run, fine_sig):
@@ -139,52 +142,3 @@ def test_default_scale_anchors_27ns_peak(run):
     peak = np.abs(phi0_trace(sig, run.medium)).max()
     assert peak == pytest.approx(15e-6, rel=1e-12)
 
-
-def test_calibrate_phase_scale_roundtrip_and_linearity(run):
-    sig = fine_signal(run.medium, PulseSpec(sigma_rms=27e-9))
-    got = calibrate_phase_scale(sig, run.medium, 15e-6)
-    assert got == pytest.approx(run.medium.sigma0_over_area, rel=1e-12)
-    doubled = calibrate_phase_scale(sig, run.medium, 30e-6)
-    assert doubled == pytest.approx(2.0 * got, rel=1e-12)
-
-
-def test_calibrate_phase_scale_errors(run, fine_sig):
-    with pytest.raises(ConfigError, match="target peak"):
-        calibrate_phase_scale(fine_sig, run.medium, 0.0)
-    with pytest.raises(ConfigError, match="outside"):
-        calibrate_phase_scale(fine_sig, run.medium, 1.0)
-    m = replace(run.medium, od=0.0)
-    sig = fine_signal(m, run.pulse)
-    with pytest.raises(ConfigError, match="zero excitation"):
-        calibrate_phase_scale(sig, m, 15e-6)
-
-
-def test_phase_integral_prediction_identity(run):
-    m = run.medium
-    for tau_g in (-104e-9, -5e-9, 3e-9):
-        predicted = phi_integral_prediction(m, tau_g)
-        direct = conversion_factor(m) * (m.omega_probe / m.omega_atom) * tau_g
-        assert predicted == pytest.approx(direct, rel=1e-14)
-    assert phi_integral_prediction(m, 0.0) == 0.0
-    assert phi_integral_prediction(m, -1e-9) == -phi_integral_prediction(m, 1e-9)
-
-
-def test_mixed_partials_commute():
-    m_idx, n_idx = np.meshgrid(np.arange(9), np.arange(7), indexing="ij")
-    surface = np.sin(0.3 * m_idx) * np.cos(0.5 * n_idx) + 0.01 * m_idx * n_idx
-    first, second = mixed_partial_pair(surface)
-    assert first.shape == (7, 5)
-    np.testing.assert_allclose(first, second, rtol=1e-12, atol=1e-15)
-    # central differences of sin(a m) carry a sin(a) factor exactly, and
-    # the bilinear term differentiates exactly, so the discrete expectation
-    # is available in closed form
-    analytic = (
-        np.sin(0.3) * np.cos(0.3 * m_idx) * (-np.sin(0.5)) * np.sin(0.5 * n_idx)
-        + 0.01
-    )
-    np.testing.assert_allclose(first, analytic[1:-1, 1:-1], rtol=1e-12, atol=1e-14)
-
-
-def test_mixed_partials_need_interior_points():
-    with pytest.raises(ConfigError, match="3 x 3"):
-        mixed_partial_pair(np.zeros((2, 5)))

@@ -1,0 +1,45 @@
+"""Public surface: every ``__all__`` entry resolves, and names that were
+removed from the package stay removed."""
+
+import importlib
+import pkgutil
+
+import negdelay
+from negdelay.montecarlo import DetectionCalibration
+
+MODULES = ["negdelay"] + [
+    f"negdelay.{info.name}" for info in pkgutil.iter_modules(negdelay.__path__)
+]
+
+#: deleted public names: no CLI command or acceptance criterion used them
+REMOVED = (
+    "StarkParams",
+    "scattering_probability",
+    "ac_stark_shift",
+    "single_photon_stark_phase",
+    "transmitted_time_from_group_delay",
+    "to_spectrum",
+    "to_time",
+    "propagate",
+    "check_slab_convergence",
+    "calibrate_phase_scale",
+    "phi_integral_prediction",
+    "mixed_partial_pair",
+    "ShotRecord",
+    "simulate_shot",
+    "kappa_closed_form",
+    "resonant_amplitude",
+    "calibration_slope",
+)
+
+
+def test_all_resolves_and_removed_names_stay_gone():
+    missing, stale = [], []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", ())
+        missing += [f"{name}.{n}" for n in exported if not hasattr(module, n)]
+        stale += [f"{name}.{n}" for n in REMOVED if hasattr(module, n)]
+    assert missing == []
+    assert stale == []
+    assert not hasattr(DetectionCalibration, "kappa")

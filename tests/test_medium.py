@@ -9,15 +9,10 @@ from hypothesis import strategies as st
 from negdelay.errors import ConfigError
 from negdelay.medium import (
     MediumSpec,
-    StarkParams,
-    ac_stark_shift,
     conversion_factor,
     group_delay,
     lineshape,
-    scattering_probability,
-    single_photon_stark_phase,
     transfer_function,
-    transmitted_time_from_group_delay,
 )
 
 GAMMA = 1.0 / 26e-9
@@ -97,13 +92,6 @@ def test_group_delay_sign_structure():
     assert group_delay(0.0, 3.0, GAMMA) == pytest.approx(-3.0 / GAMMA, rel=1e-12)
 
 
-def test_scattering_probability():
-    assert scattering_probability(0.0) == 0.0
-    assert scattering_probability(4.0) == pytest.approx(1.0 - math.exp(-4.0), rel=1e-14)
-    with pytest.raises(ConfigError, match="optical depth"):
-        scattering_probability(-0.1)
-
-
 def test_conversion_factor_frozen_value():
     assert conversion_factor(medium()) == pytest.approx(
         -5.294367646376604e-05, rel=1e-13
@@ -121,36 +109,6 @@ def test_conversion_factor_against_symbolic_form():
     assert conversion_factor(medium()) == pytest.approx(float(num), rel=1e-12)
     reduced = expr.subs(d, g / 2)
     assert sympy.simplify(reduced + s / 2) == 0
-
-
-def test_stark_shift_odd_and_linear():
-    half = StarkParams(intensity_ratio=0.5)
-    full = StarkParams(intensity_ratio=1.0)
-    red = medium()
-    blue = medium(probe_detuning=-DETUNING, omega_probe=OMEGA_ATOM - DETUNING)
-    assert ac_stark_shift(blue, half) == -ac_stark_shift(red, half)
-    assert ac_stark_shift(red, full) == pytest.approx(
-        2.0 * ac_stark_shift(red, half), rel=1e-14
-    )
-    assert ac_stark_shift(red, StarkParams(intensity_ratio=0.0)) == 0.0
-    assert ac_stark_shift(red, half) > 0.0  # red probe pushes the line up
-
-
-def test_single_photon_stark_phase_frozen():
-    m = medium()
-    phase = single_photon_stark_phase(m)
-    assert phase == pytest.approx(5.2943673707934964e-05, rel=1e-13)
-    assert phase == pytest.approx(
-        -conversion_factor(m) * m.omega_probe / m.omega_atom, rel=1e-14
-    )
-
-
-def test_transmitted_time_scales_group_delay():
-    m = medium()
-    assert transmitted_time_from_group_delay(m, -104e-9) == pytest.approx(
-        -104e-9 * m.omega_probe / m.omega_atom, rel=1e-14
-    )
-    assert transmitted_time_from_group_delay(m, 0.0) == 0.0
 
 
 def test_kramers_kronig_consistency():
@@ -184,7 +142,3 @@ def test_medium_spec_validation(kw, msg):
     with pytest.raises(ConfigError, match=msg):
         medium(**kw)
 
-
-def test_stark_params_validation():
-    with pytest.raises(ConfigError, match="intensity_ratio"):
-        StarkParams(intensity_ratio=-0.1)

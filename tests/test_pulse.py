@@ -10,9 +10,7 @@ from negdelay.pulse import (
     PulseSpec,
     SampledSignal,
     gaussian_field,
-    propagate,
-    to_spectrum,
-    to_time,
+    grid_frequencies,
     transmission_probability,
 )
 
@@ -33,31 +31,12 @@ def test_intensity_rms_duration(run):
 
 def test_spectral_rms_matches_convention(run):
     # intensity-rms sigma in time pairs with 1/(2 sigma) in frequency
-    spec = to_spectrum(gaussian_field(run.pulse, run.medium.gamma))
-    d = spec.axis()
-    w = np.abs(spec.samples) ** 2
+    sig = gaussian_field(run.pulse, run.medium.gamma)
+    d = grid_frequencies(sig.n, sig.dt)
+    w = np.abs(np.fft.ifft(sig.samples)) ** 2
     mean = np.sum(d * w) / np.sum(w)
     rms = np.sqrt(np.sum((d - mean) ** 2 * w) / np.sum(w))
     assert rms == pytest.approx(1.0 / (2.0 * run.pulse.sigma_rms), rel=5e-3)
-
-
-def test_spectrum_axis_ascending_and_parseval(run):
-    sig = gaussian_field(run.pulse, run.medium.gamma)
-    spec = to_spectrum(sig)
-    axis = spec.axis()
-    assert np.all(np.diff(axis) > 0.0)
-    time_norm = np.sum(np.abs(sig.samples) ** 2) * sig.dt
-    freq_norm = np.sum(np.abs(spec.samples) ** 2) * spec.dt / (2.0 * np.pi)
-    assert freq_norm == pytest.approx(time_norm, rel=1e-12)
-
-
-def test_transform_roundtrip(run):
-    sig = gaussian_field(run.pulse, run.medium.gamma, center=40e-9)
-    back = to_time(to_spectrum(sig), t0=sig.t0)
-    peak = np.abs(sig.samples).max()
-    np.testing.assert_allclose(back.samples, sig.samples, rtol=0, atol=1e-12 * peak)
-    assert back.dt == pytest.approx(sig.dt, rel=1e-12)
-    assert back.t0 == sig.t0
 
 
 def test_edge_guard_rejects_short_lead(run):
@@ -108,25 +87,18 @@ def test_transmission_grid_doubling_converged(run):
 
 
 def test_time_shift_covariance(run):
-    """Delaying the input delays the output by the same number of samples
-    and leaves the mean transmission unchanged."""
+    """Delaying the input leaves the mean transmission unchanged."""
     sig = gaussian_field(run.pulse, run.medium.gamma)
     k = 64
     shifted = SampledSignal(dt=sig.dt, t0=sig.t0, samples=np.roll(sig.samples, k))
     assert transmission_probability(shifted, run.medium) == pytest.approx(
         transmission_probability(sig, run.medium), rel=1e-12
     )
-    out = np.abs(propagate(sig, run.medium).samples)
-    out_shifted = np.abs(propagate(shifted, run.medium).samples)
-    assert int(np.argmax(out_shifted)) == int(np.argmax(out)) + k
 
 
 def test_zero_depth_propagation_is_identity(run):
     m = replace(run.medium, od=0.0)
     sig = gaussian_field(run.pulse, m.gamma)
-    out = propagate(sig, m)
-    peak = np.abs(sig.samples).max()
-    np.testing.assert_allclose(out.samples, sig.samples, rtol=0, atol=1e-12 * peak)
     assert transmission_probability(sig, m) == pytest.approx(1.0, rel=1e-12)
 
 
