@@ -374,6 +374,10 @@ def time_align(
     return shift, float(np.hypot(fe.center_err, ft.center_err))
 
 
+#: resamples gathered per block by bootstrap_sigma
+_BOOTSTRAP_BLOCK = 1024
+
+
 def bootstrap_sigma(
     differences: np.ndarray,
     window: tuple[int, int],
@@ -395,5 +399,10 @@ def bootstrap_sigma(
     per_cycle = d[:, lo : hi + 1] @ jac[lo : hi + 1]
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, d.shape[0], size=(n_resamples, d.shape[0]))
-    means = per_cycle[idx].mean(axis=1)
+    # gather the resampled rows a block at a time: each row's mean is
+    # reduced exactly as in one (n_resamples, cycles) gather
+    means = np.empty(n_resamples)
+    for start in range(0, n_resamples, _BOOTSTRAP_BLOCK):
+        rows = idx[start : start + _BOOTSTRAP_BLOCK]
+        means[start : start + len(rows)] = per_cycle[rows].mean(axis=1)
     return float(means.std(ddof=1))

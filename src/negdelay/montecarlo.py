@@ -30,6 +30,8 @@ summation over the Poisson support, independently of the closed form.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -353,11 +355,12 @@ def simulate_cycle(
     noise = rng.standard_normal((shots, config.n_samples))
 
     n_s = n_ph - n_t
-    traces = (
-        n_t[:, None] * eff.phi_T1[None, :]
-        + n_s[:, None] * eff.phi_S1[None, :]
-        + config.phase_noise_rms * noise
-    )
+    # same operations in the same order as n_t phi_T1 + n_s phi_S1 +
+    # sigma noise, accumulated in place
+    traces = np.multiply.outer(n_t, eff.phi_T1)
+    traces += np.multiply.outer(n_s, eff.phi_S1)
+    noise *= config.phase_noise_rms
+    traces += noise
     if config.wobble_amplitude != 0.0:
         if config.mean_photons <= 0.0:
             raise ConfigError("wobble injection needs mean_photons > 0")
@@ -383,6 +386,14 @@ def simulate_cycle(
     return CycleData(cycle=cycle, traces=traces, clicked=clicked)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_campaign(
     seed: int,
     n_cycles: int,
@@ -390,16 +401,22 @@ def run_campaign(
     config: ShotConfig,
     cal: DetectionCalibration,
     mode: str = "normal",
-    jobs: int = 1,
+    jobs: int | None = None,
     truth: bool = False,
 ) -> Iterator[CycleData]:
     """Cycles [0, n_cycles) in index order, one independent stream each.
 
     Cycle c uses np.random.default_rng([seed, c]), so any cycle can be
     regenerated in isolation and thread fan-out cannot change results.
+    ``jobs`` threads draw the cycles: None means every CPU this process
+    may use, 1 draws them serially in the consumer's thread. At most
+    2 * jobs cycles are drawn ahead of the consumer, so memory stays
+    bounded however long the campaign.
     """
     if n_cycles < 0:
         raise ConfigError("n_cycles must be non-negative")
+    if jobs is None:
+        jobs = _usable_cpus()
 
     def one(cycle: int) -> CycleData:
         rng = np.random.default_rng([seed, cycle])
@@ -411,8 +428,20 @@ def run_campaign(
         for cycle in range(n_cycles):
             yield one(cycle)
         return
+    window = 2 * jobs
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(one, range(n_cycles))
+        pending = deque()
+        try:
+            for cycle in range(n_cycles):
+                pending.append(pool.submit(one, cycle))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            # a consumer that stops early waits only for running cycles
+            for future in pending:
+                future.cancel()
 
 
 def null_dataset(
@@ -422,7 +451,7 @@ def null_dataset(
     shapes: PerPhotonShapes,
     config: ShotConfig,
     cal: DetectionCalibration,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> Iterator[CycleData]:
     """Datasets whose true conditional phase is identically zero."""
     if kind not in ("no_atoms", "bypass_atoms", "no_signal"):

@@ -333,3 +333,19 @@ def test_bootstrap_tracks_analytic_sigma():
     analytic = per_cycle.std(ddof=1) / np.sqrt(d.shape[0])
     boot = bootstrap_sigma(d, window, dt, n_resamples=20000, seed=1)
     assert abs(boot - analytic) / analytic < 0.1
+
+
+@pytest.mark.parametrize("n_resamples", [1000, 2500])
+def test_bootstrap_blocks_match_one_gather(n_resamples):
+    """The blocked gather gives the bytes of the one-matrix reference,
+    also when the block does not divide the resample count."""
+    d = np.random.default_rng(5).standard_normal((400, 8))
+    window, dt, seed = (2, 6), 1.5, 9
+    _, jac = integrate_trapz(d[0], window, dt)
+    per_cycle = d[:, 2:7] @ jac[2:7]
+    idx = np.random.default_rng(seed).integers(
+        0, d.shape[0], size=(n_resamples, d.shape[0])
+    )
+    reference = float(per_cycle[idx].mean(axis=1).std(ddof=1))
+    got = bootstrap_sigma(d, window, dt, n_resamples=n_resamples, seed=seed)
+    assert got.hex() == reference.hex()

@@ -78,11 +78,20 @@ def test_simulate_analyze_chain(tmp_path):
 
 
 def test_simulate_is_byte_deterministic(tmp_path):
+    """The shot log does not depend on the thread count: one thread, the
+    default (every usable CPU) and four."""
     cfg = _cfg(tmp_path, TINY)
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(b), "--jobs", "4"]) == 0
-    assert (a / "shots.npz").read_bytes() == (b / "shots.npz").read_bytes()
+    logs = []
+    for name, jobs in (
+        ("serial", ["--jobs", "1"]),
+        ("default", []),
+        ("four", ["--jobs", "4"]),
+    ):
+        out = tmp_path / name
+        argv = ["simulate", "--config", cfg, "--out", str(out), "--truth", *jobs]
+        assert main(argv) == 0
+        logs.append((out / "shots.npz").read_bytes())
+    assert logs[0] == logs[1] == logs[2]
 
 
 def test_simulate_truth_arrays(tmp_path):

@@ -3,6 +3,7 @@ draw-order reproducibility and the statistical closure of the generator."""
 
 import hashlib
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negdelay import montecarlo
 from negdelay.analysis import (
     accumulate,
     integral_with_error,
@@ -226,13 +228,58 @@ def test_draw_order_contract(run, shapes, cal):
 
 
 def test_thread_fanout_is_invisible(run, shapes, cal):
+    """Serial, default and three-thread campaigns agree bit for bit over
+    enough cycles to slide the in-flight window several times."""
     config = replace(run.shot, shots_per_cycle=40)
-    serial = list(run_campaign(2, 6, shapes, config, cal))
-    threaded = list(run_campaign(2, 6, shapes, config, cal, jobs=4))
-    assert [c.cycle for c in threaded] == [c.cycle for c in serial]
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.traces, b.traces)
-        assert np.array_equal(a.clicked, b.clicked)
+    for mode in ("normal", "bypass_atoms"):
+        serial, *threaded = (
+            list(
+                run_campaign(
+                    2, 21, shapes, config, cal, mode=mode, jobs=jobs, truth=True
+                )
+            )
+            for jobs in (1, None, 3)
+        )
+        assert [c.cycle for c in serial] == list(range(21))
+        for campaign in threaded:
+            assert [c.cycle for c in campaign] == list(range(21))
+            for a, b in zip(serial, campaign):
+                assert np.array_equal(a.traces, b.traces)
+                assert np.array_equal(a.clicked, b.clicked)
+                assert np.array_equal(a.n_transmitted, b.n_transmitted)
+                assert np.array_equal(a.n_scattered, b.n_scattered)
+                assert np.array_equal(
+                    a.background_clicked, b.background_clicked
+                )
+
+
+def test_threaded_campaign_is_lazy(run, shapes, cal, monkeypatch):
+    """Taking one cycle of a long campaign draws only the in-flight
+    window, and closing the generator returns without drawing the rest."""
+    calls = []
+    real = montecarlo.simulate_cycle
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["cycle"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate_cycle", counted)
+    config = replace(run.shot, shots_per_cycle=20)
+    jobs = 2
+    campaign = run_campaign(4, 1000, shapes, config, cal, jobs=jobs)
+    assert next(campaign).cycle == 0
+    assert len(calls) <= 2 * jobs + jobs
+    start = time.perf_counter()
+    campaign.close()
+    assert time.perf_counter() - start < 5.0
+    assert len(calls) <= 2 * jobs + jobs
+
+
+def test_worker_error_surfaces(run, shapes):
+    config = replace(run.shot, mean_photons=0.0, wobble_amplitude=0.01)
+    cal = calibrate_detection(0.5, 100.0, 0.0, 0.0)
+    with pytest.raises(ConfigError, match="wobble"):
+        list(run_campaign(0, 12, shapes, config, cal, jobs=2))
 
 
 def test_seed_reproducibility(run, shapes, cal):
