@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import zipfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,7 +46,6 @@ from .oracle import weak_excitation_trace
 
 __all__ = ["main"]
 
-_LOG_ARRAYS = ("traces", "clicked")
 _TRUTH_ARRAYS = ("n_transmitted", "n_scattered", "background_clicked")
 
 
@@ -70,52 +71,125 @@ def _write_csv(path: Path, run: RunConfig, seed, columns, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_log(path: Path, run: RunConfig, seed, mode, arrays: dict) -> None:
-    """Shot log: a zip of .npy members with zeroed timestamps, so the
-    same data always produces the same bytes."""
+def _log_member(name: str) -> zipfile.ZipInfo:
+    return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+
+
+def _write_log(
+    path: Path, run: RunConfig, seed, mode, cycles, truth: bool
+) -> None:
+    """Shot log: a zip of stored .npy members with zeroed timestamps, so
+    the same data always produces the same bytes.
+
+    Each cycle's traces go into ``traces.npy`` as the cycle arrives, after
+    a header for the known shape; only the per-shot vectors are held until
+    the end. The log is built under a temporary name and renamed into
+    place only once complete, so a failed campaign leaves no log.
+    """
+    shape = (run.n_cycles, run.shot.shots_per_cycle, run.shot.n_samples)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": shape}
+    )
+    traces = _log_member("traces.npy")
+    # sized up front, so the local header and the zip64 choice match a
+    # member written whole
+    traces.file_size = header.tell() + 8 * int(np.prod(shape))
+    per_shot = {
+        name: [] for name in ("clicked",) + (_TRUTH_ARRAYS if truth else ())
+    }
     meta = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "config_hash": run.config_hash,
         "seed": seed,
         "mode": mode,
-        "n_cycles": int(arrays["traces"].shape[0]),
+        "n_cycles": run.n_cycles,
     }
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
-        for name, arr in arrays.items():
-            buf = io.BytesIO()
-            np.save(buf, arr)
-            zf.writestr(
-                zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0)),
-                buf.getvalue(),
-            )
-        zf.writestr(
-            zipfile.ZipInfo("meta.json", date_time=(1980, 1, 1, 0, 0, 0)),
-            json.dumps(meta, sort_keys=True, indent=1),
-        )
-
-
-def _read_log(path: Path, run: RunConfig) -> tuple[dict, dict]:
+    part = path.with_name(f".{path.name}.part")
     try:
-        with zipfile.ZipFile(path) as zf:
+        with zipfile.ZipFile(part, "w") as zf:
+            with zf.open(traces, "w") as fh:
+                fh.write(header.getvalue())
+                for cycle in cycles:
+                    fh.write(np.ascontiguousarray(cycle.traces, np.float64))
+                    for name, rows in per_shot.items():
+                        rows.append(getattr(cycle, name))
+            for name, rows in per_shot.items():
+                buf = io.BytesIO()
+                np.save(buf, np.stack(rows))
+                zf.writestr(_log_member(f"{name}.npy"), buf.getvalue())
+            zf.writestr(
+                _log_member("meta.json"),
+                json.dumps(meta, sort_keys=True, indent=1),
+            )
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+@contextmanager
+def _read_log(path: Path, run: RunConfig):
+    """Check a shot log against ``run`` and yield its meta and its cycles.
+
+    The cycles are read one at a time from the stored ``traces.npy``
+    member, so only one cycle's traces are held at once.
+    """
+
+    def unreadable(exc) -> ConfigError:
+        return ConfigError(f"cannot read shot log {path}: {exc}")
+
+    with ExitStack() as stack:
+        try:
+            zf = stack.enter_context(zipfile.ZipFile(path))
             meta = json.loads(zf.read("meta.json"))
-            arrays = {
-                name: np.load(io.BytesIO(zf.read(f"{name}.npy")))
-                for name in _LOG_ARRAYS
-            }
-    except (OSError, KeyError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"cannot read shot log {path}: {exc}") from None
-    if meta.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"shot log schema {meta.get('schema')} does not match "
-            f"this package's schema {SCHEMA_VERSION}"
+            clicked = np.load(io.BytesIO(zf.read("clicked.npy")))
+            fh = stack.enter_context(zf.open("traces.npy"))
+            np.lib.format.read_magic(fh)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise unreadable(exc) from None
+        if meta.get("schema") != SCHEMA_VERSION:
+            raise ConfigError(
+                f"shot log schema {meta.get('schema')} does not match "
+                f"this package's schema {SCHEMA_VERSION}"
+            )
+        if meta.get("config_hash") != run.config_hash:
+            raise ConfigError(
+                "shot log was produced with config hash "
+                f"{meta.get('config_hash')}, current config is {run.config_hash}"
+            )
+        expected = (
+            meta.get("n_cycles"),
+            run.shot.shots_per_cycle,
+            run.shot.n_samples,
         )
-    if meta.get("config_hash") != run.config_hash:
-        raise ConfigError(
-            "shot log was produced with config hash "
-            f"{meta.get('config_hash')}, current config is {run.config_hash}"
-        )
-    return meta, arrays
+        row_bytes = 8 * run.shot.shots_per_cycle * run.shot.n_samples
+        # a member of exactly the declared length is read to its end,
+        # where its CRC is checked
+        data_bytes = zf.getinfo("traces.npy").file_size - fh.tell()
+        if (
+            shape != expected
+            or clicked.shape != expected[:2]
+            or dtype != np.float64
+            or fortran_order
+            or data_bytes != row_bytes * shape[0]
+        ):
+            raise unreadable(
+                f"traces.npy holds {shape} {dtype} in {data_bytes} bytes, "
+                f"clicked.npy {clicked.shape}; expected {expected} float64"
+            )
+
+        def cycles():
+            try:
+                for i, flags in enumerate(clicked):
+                    rows = np.frombuffer(fh.read(row_bytes), np.float64)
+                    yield CycleData(i, rows.reshape(shape[1:]), flags)
+            except zipfile.BadZipFile as exc:
+                # a damaged member fails its CRC only once fully read
+                raise unreadable(exc) from None
+
+        yield meta, cycles()
 
 
 def _prepare(run: RunConfig):
@@ -184,31 +258,19 @@ def _cmd_theory(run: RunConfig, out: Path, args) -> int:
 
 def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
     seed = run.seed if args.seed is None else args.seed
-    shapes, cal = _prepare(run)
-    cycles = list(
-        run_campaign(
-            seed,
-            run.n_cycles,
-            shapes,
-            run.shot,
-            cal,
-            jobs=args.jobs,
-            truth=args.truth,
-        )
-    )
-    if not cycles:
+    if run.n_cycles == 0:
         raise ConfigError("campaign.n_cycles is 0: nothing to simulate")
-    arrays = {
-        "traces": np.stack([c.traces for c in cycles]),
-        "clicked": np.stack([c.clicked for c in cycles]),
-    }
-    if args.truth:
-        arrays["n_transmitted"] = np.stack([c.n_transmitted for c in cycles])
-        arrays["n_scattered"] = np.stack([c.n_scattered for c in cycles])
-        arrays["background_clicked"] = np.stack(
-            [c.background_clicked for c in cycles]
-        )
-    _write_log(out / "shots.npz", run, seed, "normal", arrays)
+    shapes, cal = _prepare(run)
+    cycles = run_campaign(
+        seed,
+        run.n_cycles,
+        shapes,
+        run.shot,
+        cal,
+        jobs=args.jobs,
+        truth=args.truth,
+    )
+    _write_log(out / "shots.npz", run, seed, "normal", cycles, args.truth)
     return 0
 
 
@@ -253,17 +315,13 @@ def _analyze_cycles(
 
 
 def _cmd_analyze(run: RunConfig, out: Path, args) -> int:
-    meta, arrays = _read_log(Path(args.log), run)
-    traces, clicked = arrays["traces"], arrays["clicked"]
-    shapes = derive_shapes(run.medium, run.pulse, run.shot, n_atoms=run.n_atoms)
-    return _analyze_cycles(
-        run,
-        shapes,
-        (CycleData(i, traces[i], clicked[i]) for i in range(len(traces))),
-        out,
-        meta.get("seed"),
-        gate=False,
-    )
+    with _read_log(Path(args.log), run) as (meta, cycles):
+        shapes = derive_shapes(
+            run.medium, run.pulse, run.shot, n_atoms=run.n_atoms
+        )
+        return _analyze_cycles(
+            run, shapes, cycles, out, meta.get("seed"), gate=False
+        )
 
 
 def _cmd_nullcheck(run: RunConfig, out: Path, args) -> int:

@@ -1,11 +1,19 @@
 """Command-line pipeline: output formats, determinism and exit codes."""
 
+import io
+import json
+import tracemalloc
 import zipfile
 
+import numpy as np
 import pytest
 
+import negdelay.cli
 from negdelay import __version__
 from negdelay.cli import main
+from negdelay.config import SCHEMA_VERSION, load_config
+from negdelay.errors import ConfigError
+from negdelay.montecarlo import calibrate_detection, derive_shapes, run_campaign
 
 TINY = (
     "shot.shots_per_cycle = 60\n"
@@ -92,6 +100,188 @@ def test_simulate_is_byte_deterministic(tmp_path):
         assert main(argv) == 0
         logs.append((out / "shots.npz").read_bytes())
     assert logs[0] == logs[1] == logs[2]
+
+
+def _reference_log(cfg, seed, truth):
+    """The shot log built whole in memory: every cycle materialized, each
+    array stacked and saved, each member written by writestr."""
+    run = load_config(cfg)
+    shapes = derive_shapes(run.medium, run.pulse, run.shot, n_atoms=run.n_atoms)
+    cal = calibrate_detection(
+        shapes.tbar,
+        run.shot.mean_photons,
+        run.shot.target_click_prob,
+        run.shot.background_click_fraction,
+    )
+    cycles = list(
+        run_campaign(
+            seed, run.n_cycles, shapes, run.shot, cal, jobs=1, truth=truth
+        )
+    )
+    names = ["traces", "clicked"]
+    if truth:
+        names += ["n_transmitted", "n_scattered", "background_clicked"]
+    meta = {
+        "schema": SCHEMA_VERSION,
+        "version": __version__,
+        "config_hash": run.config_hash,
+        "seed": seed,
+        "mode": "normal",
+        "n_cycles": len(cycles),
+    }
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for name in names:
+            buf = io.BytesIO()
+            np.save(buf, np.stack([getattr(c, name) for c in cycles]))
+            zf.writestr(
+                zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0)),
+                buf.getvalue(),
+            )
+        zf.writestr(
+            zipfile.ZipInfo("meta.json", date_time=(1980, 1, 1, 0, 0, 0)),
+            json.dumps(meta, sort_keys=True, indent=1),
+        )
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("truth", [False, True])
+def test_simulate_matches_in_memory_reference(tmp_path, truth):
+    cfg = _cfg(tmp_path, TINY)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", cfg, "--out", str(out), "--seed", "5"]
+    assert main(argv + (["--truth"] if truth else [])) == 0
+    assert (out / "shots.npz").read_bytes() == _reference_log(cfg, 5, truth)
+
+
+def test_log_members_are_stored(tmp_path):
+    """The streaming reader reads traces.npy straight from the archive,
+    which needs every member stored uncompressed."""
+    cfg = _cfg(tmp_path, TINY)
+    out = tmp_path / "t"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--truth"]) == 0
+    with zipfile.ZipFile(out / "shots.npz") as zf:
+        infos = zf.infolist()
+    assert len(infos) == 6
+    for info in infos:
+        assert info.compress_type == zipfile.ZIP_STORED, info.filename
+        assert info.compress_size == info.file_size
+
+
+def test_simulate_without_cycles_writes_no_log(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "campaign.n_cycles = 0\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "n_cycles is 0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_failed_campaign_writes_no_log(tmp_path, monkeypatch):
+    def two_cycles_then_fail(*args, **kwargs):
+        kwargs["jobs"] = 1
+        cycles = run_campaign(*args, **kwargs)
+        yield next(cycles)
+        yield next(cycles)
+        raise ConfigError("campaign interrupted")
+
+    monkeypatch.setattr(negdelay.cli, "run_campaign", two_cycles_then_fail)
+    cfg = _cfg(tmp_path, TINY)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) != 0
+    assert list(out.iterdir()) == []
+
+
+def _analyze_fails(tmp_path, capsys, cfg, log):
+    out = tmp_path / "res"
+    rc = main(["analyze", "--config", cfg, "--log", str(log), "--out", str(out)])
+    assert rc == 2
+    assert "cannot read shot log" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_damaged_trace_data_exits_2(tmp_path, capsys):
+    cfg = _cfg(tmp_path, TINY)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    log = sim / "shots.npz"
+    with zipfile.ZipFile(log) as zf:
+        info = zf.getinfo("traces.npy")
+    data = bytearray(log.read_bytes())
+    pos = info.header_offset + info.compress_size // 2
+    data[pos] ^= 0x01
+    log.write_bytes(bytes(data))
+    _analyze_fails(tmp_path, capsys, cfg, log)
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        # header disagrees with clicked.npy and the meta cycle count
+        lambda a: {"traces": a["traces"][:-1]},
+        # header disagrees with shot.n_samples
+        lambda a: {"traces": a["traces"][:, :, :-1]},
+        # header agrees with clicked.npy, not with shot.shots_per_cycle
+        lambda a: {"traces": a["traces"][:, :-1], "clicked": a["clicked"][:, :-1]},
+    ],
+    ids=["cycles", "samples", "shots"],
+)
+def test_trace_shape_mismatch_exits_2(tmp_path, capsys, cut):
+    cfg = _cfg(tmp_path, TINY)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    log = sim / "shots.npz"
+    with zipfile.ZipFile(log) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    arrays = {
+        name: np.load(io.BytesIO(members[f"{name}.npy"]))
+        for name in ("traces", "clicked")
+    }
+    for name, arr in cut(arrays).items():
+        buf = io.BytesIO()
+        np.save(buf, arr)
+        members[f"{name}.npy"] = buf.getvalue()
+    with zipfile.ZipFile(log, "w") as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+    _analyze_fails(tmp_path, capsys, cfg, log)
+
+
+def _traced_peak(argv):
+    """Peak bytes allocated while one command runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shot_log_memory_is_bounded(tmp_path):
+    """simulate and analyze hold one cycle's traces at a time, so ten
+    times the cycles costs no more than half as much memory again."""
+    peaks = {}
+    for n_cycles in (10, 100):
+        cfg = _cfg(tmp_path, f"campaign.n_cycles = {n_cycles}\n", f"{n_cycles}.cfg")
+        sim, res = tmp_path / f"sim{n_cycles}", tmp_path / f"res{n_cycles}"
+        peaks[n_cycles] = (
+            _traced_peak(
+                ["simulate", "--config", cfg, "--out", str(sim), "--jobs", "2"]
+            ),
+            _traced_peak(
+                [
+                    "analyze",
+                    "--config",
+                    cfg,
+                    "--log",
+                    str(sim / "shots.npz"),
+                    "--out",
+                    str(res),
+                ]
+            ),
+        )
+    for command, small, large in zip(("simulate", "analyze"), *peaks.values()):
+        assert large <= 1.5 * small, (command, small, large)
 
 
 def test_simulate_truth_arrays(tmp_path):
