@@ -31,7 +31,7 @@ from .analysis import (
     ratio_estimate,
 )
 from .errors import AnalysisError, ConfigError, ConvergenceError, NegdelayError
-from .excitation import excited_population, spectral_report
+from .excitation import phi0_trace, spectral_report
 from .medium import conversion_factor
 from .montecarlo import (
     MODES,
@@ -204,54 +204,52 @@ def _prepare(run: RunConfig):
     return shapes, cal
 
 
-def _theory_traces(run: RunConfig):
-    sig = fine_signal(run.medium, run.pulse)
-    conv = conversion_factor(run.medium)
-    weak = weak_excitation_trace(sig, run.medium, n_atoms=run.n_atoms)
-    phi0 = conv * excited_population(sig, run.medium).values
-    phi_t = conv * weak.weak
-    return sig, weak, phi0, phi_t
+def _evaluate(medium, pulse, n_atoms: int):
+    """Both routes to tau_T at one operating point.
+
+    Returns the fine signal, the collision-model trace and five summary
+    numbers: tau_0, spectral tau_T and oracle tau_T in ns, then both
+    ratios to tau_0, which read "NA" in a transparent medium, where no
+    photon is ever excited.
+    """
+    sig = fine_signal(medium, pulse)
+    rep = spectral_report(sig, medium)
+    weak = weak_excitation_trace(sig, medium, n_atoms=n_atoms)
+    tau_t_oracle = weak.tau_transmitted()
+    if rep.tau_0 != 0.0:
+        ratios = (rep.ratio, tau_t_oracle / rep.tau_0)
+    else:
+        ratios = ("NA", "NA")
+    summary = (rep.tau_0 * 1e9, rep.tau_T * 1e9, tau_t_oracle * 1e9, *ratios)
+    return sig, weak, summary
 
 
 def _cmd_theory(run: RunConfig, out: Path, args) -> int:
-    sig, weak, phi0, phi_t = _theory_traces(run)
-    t0 = sig.axis() * 1e9
+    sig, weak, summary = _evaluate(run.medium, run.pulse, run.n_atoms)
+    tau_0, tau_spectral, tau_oracle, ratio_spectral, ratio_oracle = summary
     _write_csv(
         out / "phi0_theory.csv",
         run,
         None,
         ("t_ns", "phi_urad"),
-        zip(t0, phi0 * 1e6),
+        zip(sig.axis() * 1e9, phi0_trace(sig, run.medium) * 1e6),
     )
     _write_csv(
         out / "phiT_theory.csv",
         run,
         None,
         ("t_ns", "phi_urad"),
-        zip(weak.axis() * 1e9, phi_t * 1e6),
+        zip(weak.axis() * 1e9, conversion_factor(run.medium) * weak.weak * 1e6),
     )
-    rep = spectral_report(sig, run.medium)
-    tau_t_oracle = weak.tau_transmitted()
-    rows = [
-        (
-            rep.tau_0 * 1e9,
-            rep.tau_T * 1e9,
-            _fmt(rep.ratio) if rep.tau_0 != 0.0 else "NA",
-            "spectral",
-        ),
-        (
-            rep.tau_0 * 1e9,
-            tau_t_oracle * 1e9,
-            _fmt(tau_t_oracle / rep.tau_0) if rep.tau_0 != 0.0 else "NA",
-            "oracle",
-        ),
-    ]
     _write_csv(
         out / "summary.csv",
         run,
         None,
         ("tau0_ns", "tauT_ns", "ratio", "method"),
-        rows,
+        [
+            (tau_0, tau_spectral, ratio_spectral, "spectral"),
+            (tau_0, tau_oracle, ratio_oracle, "oracle"),
+        ],
     )
     return 0
 
@@ -316,9 +314,7 @@ def _analyze_cycles(
 
 def _cmd_analyze(run: RunConfig, out: Path, args) -> int:
     with _read_log(Path(args.log), run) as (meta, cycles):
-        shapes = derive_shapes(
-            run.medium, run.pulse, run.shot, n_atoms=run.n_atoms
-        )
+        shapes, _ = _prepare(run)
         return _analyze_cycles(
             run, shapes, cycles, out, meta.get("seed"), gate=False
         )
@@ -343,27 +339,12 @@ def _cmd_sweep(run: RunConfig, out: Path, args) -> int:
     rows = []
     for sigma_ns in run.sweep_sigmas:
         for od in run.sweep_ods:
-            medium = replace(run.medium, od=od)
-            pulse = replace(run.pulse, sigma_rms=sigma_ns * 1e-9)
-            sig = fine_signal(medium, pulse)
-            rep = spectral_report(sig, medium)
-            weak = weak_excitation_trace(sig, medium, n_atoms=run.n_atoms)
-            tau_t_oracle = weak.tau_transmitted()
-            if rep.tau_0 != 0.0:
-                ratios = (rep.ratio, tau_t_oracle / rep.tau_0)
-            else:  # transparent medium: no photon is ever excited
-                ratios = ("NA", "NA")
-            rows.append(
-                (
-                    sigma_ns,
-                    od,
-                    weak.transmission,
-                    rep.tau_0 * 1e9,
-                    rep.tau_T * 1e9,
-                    tau_t_oracle * 1e9,
-                    *ratios,
-                )
+            _, weak, summary = _evaluate(
+                replace(run.medium, od=od),
+                replace(run.pulse, sigma_rms=sigma_ns * 1e-9),
+                run.n_atoms,
             )
+            rows.append((sigma_ns, od, weak.transmission, *summary))
     _write_csv(
         out / "sweep.csv",
         run,
@@ -402,14 +383,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="threads drawing cycles (default: every usable CPU; "
-            "output does not depend on it)",
-        )
+        if name in ("simulate", "nullcheck"):
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument(
+                "--jobs",
+                type=int,
+                default=None,
+                help="threads drawing cycles (default: every usable CPU; "
+                "output does not depend on it)",
+            )
         if name == "simulate":
             p.add_argument(
                 "--truth",

@@ -88,11 +88,6 @@ class ExcitationReport:
     tau_0: float
     tau_T: float
     ratio: float
-    method: str  # "spectral" or "oracle"
-
-    def __post_init__(self):
-        if self.method not in ("spectral", "oracle"):
-            raise ConfigError(f"unknown method {self.method!r}")
 
 
 def excited_population(sig: SampledSignal, medium: MediumSpec) -> ExcitationTrace:
@@ -145,7 +140,7 @@ def spectral_report(sig: SampledSignal, medium: MediumSpec) -> ExcitationReport:
     tau0 = mean_excitation_time(sig, medium)
     tauT = transmitted_excitation_time(sig, medium)
     ratio = tauT / tau0 if tau0 != 0.0 else float("nan")
-    return ExcitationReport(tau_0=tau0, tau_T=tauT, ratio=ratio, method="spectral")
+    return ExcitationReport(tau_0=tau0, tau_T=tauT, ratio=ratio)
 
 
 def phi0_trace(sig: SampledSignal, medium: MediumSpec) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .excitation import excited_population
+from .excitation import phi0_trace
 from .medium import MediumSpec, conversion_factor
 from .oracle import max_step, weak_excitation_trace
 from .pulse import PulseSpec, gaussian_field, transmission_probability
@@ -57,7 +57,6 @@ __all__ = [
     "kappa_enumeration",
     "simulate_cycle",
     "run_campaign",
-    "null_dataset",
 ]
 
 MODES = ("normal", "no_atoms", "bypass_atoms", "no_signal")
@@ -209,7 +208,7 @@ def derive_shapes(
     conv = conversion_factor(medium)
     weak = weak_excitation_trace(sig, medium, n_atoms=n_atoms)
     phi_t_fine = conv * weak.weak
-    phi_0_fine = conv * excited_population(sig, medium).values
+    phi_0_fine = phi0_trace(sig, medium)
     tbar = transmission_probability(sig, medium)
 
     # detection-window bin edges expressed on the pulse time axis
@@ -443,22 +442,3 @@ def run_campaign(
             for future in pending:
                 future.cancel()
 
-
-def null_dataset(
-    kind: str,
-    seed: int,
-    n_cycles: int,
-    shapes: PerPhotonShapes,
-    config: ShotConfig,
-    cal: DetectionCalibration,
-    jobs: int | None = None,
-) -> Iterator[CycleData]:
-    """Datasets whose true conditional phase is identically zero."""
-    if kind not in ("no_atoms", "bypass_atoms", "no_signal"):
-        raise ConfigError(
-            f"unknown null kind {kind!r}; expected no_atoms, bypass_atoms "
-            "or no_signal"
-        )
-    return run_campaign(
-        seed, n_cycles, shapes, config, cal, mode=kind, jobs=jobs
-    )

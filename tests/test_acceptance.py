@@ -41,7 +41,6 @@ from negdelay.montecarlo import (
     calibrate_detection,
     fine_signal,
     kappa_enumeration,
-    null_dataset,
     run_campaign,
 )
 from negdelay.oracle import weak_excitation_trace
@@ -251,7 +250,8 @@ def test_criterion_10_null_rates(run, shapes, cal):
         hits = 0
         # pinned block, same caveat as criterion 7
         for seed in range(100):
-            res = accumulate(null_dataset(kind, seed, 150, shapes, sh, cal))
+            cycles = run_campaign(seed, 150, shapes, sh, cal, mode=kind)
+            res = accumulate(cycles)
             integ = integral_with_error(res.phi_T, res.cov, window, sh.dt)
             ratio, sig = ratio_estimate(integ, shapes.phi_01, sh.dt)
             hits += abs(ratio) < 2.0 * sig

@@ -11,7 +11,7 @@ import pytest
 import negdelay.cli
 from negdelay import __version__
 from negdelay.cli import main
-from negdelay.config import SCHEMA_VERSION, load_config
+from negdelay.config import SCHEMA_VERSION, default_config, load_config
 from negdelay.errors import ConfigError
 from negdelay.montecarlo import calibrate_detection, derive_shapes, run_campaign
 
@@ -257,16 +257,35 @@ def _traced_peak(argv):
         tracemalloc.stop()
 
 
-def test_shot_log_memory_is_bounded(tmp_path):
-    """simulate and analyze hold one cycle's traces at a time, so ten
-    times the cycles costs no more than half as much memory again."""
+def _campaign_peak(monkeypatch, argv):
+    """Peak bytes allocated by ``simulate`` from the start of its campaign,
+    after the shape derivation, to the end of the run."""
+
+    def traced_campaign(*args, **kwargs):
+        tracemalloc.start()
+        return run_campaign(*args, **kwargs)
+
+    monkeypatch.setattr(negdelay.cli, "run_campaign", traced_campaign)
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shot_log_memory_is_bounded(tmp_path, monkeypatch):
+    """simulate and analyze hold one cycle's traces at a time, so only
+    the per-shot click flags grow with n_cycles. simulate draws its
+    cycles serially here, which makes its peak independent of thread
+    timing; the threaded window is bounded in test_montecarlo."""
     peaks = {}
     for n_cycles in (10, 100):
         cfg = _cfg(tmp_path, f"campaign.n_cycles = {n_cycles}\n", f"{n_cycles}.cfg")
         sim, res = tmp_path / f"sim{n_cycles}", tmp_path / f"res{n_cycles}"
         peaks[n_cycles] = (
-            _traced_peak(
-                ["simulate", "--config", cfg, "--out", str(sim), "--jobs", "2"]
+            _campaign_peak(
+                monkeypatch,
+                ["simulate", "--config", cfg, "--out", str(sim), "--jobs", "1"],
             ),
             _traced_peak(
                 [
@@ -280,8 +299,16 @@ def test_shot_log_memory_is_bounded(tmp_path):
                 ]
             ),
         )
-    for command, small, large in zip(("simulate", "analyze"), *peaks.values()):
-        assert large <= 1.5 * small, (command, small, large)
+    # Drawing a cycle takes under four cycles' traces (noise, traces, one
+    # outer product and numpy's casting buffers) while the writer still
+    # holds the cycle before; the click flags are held as rows, then
+    # stacked, saved and copied. Checked at 100 cycles, after the first
+    # campaign has imported what it needs.
+    shot = default_config().shot
+    bound = 5 * 8 * shot.shots_per_cycle * shot.n_samples
+    bound += 4 * 100 * shot.shots_per_cycle
+    assert peaks[100][0] <= bound, ("simulate", peaks[100][0], bound)
+    assert peaks[100][1] <= 1.5 * peaks[10][1], ("analyze", peaks)
 
 
 def test_simulate_truth_arrays(tmp_path):
@@ -336,6 +363,19 @@ def test_nullcheck_gate(tmp_path):
     flag = lines[3].split(",")[-1]
     assert flag == "1"
     assert abs(ratio) < 2.0 * sigma
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["theory", "--seed", "1"], ["analyze", "--log", "shots.npz", "--jobs", "2"]],
+    ids=["theory-seed", "analyze-jobs"],
+)
+def test_campaign_flags_only_on_campaign_commands(tmp_path, capsys, argv):
+    """--seed and --jobs exist only where a campaign is drawn."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_nullcheck_rejects_normal_kind(tmp_path):

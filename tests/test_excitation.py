@@ -8,7 +8,6 @@ import pytest
 
 from negdelay.errors import ConfigError
 from negdelay.excitation import (
-    ExcitationReport,
     ExcitationTrace,
     excited_population,
     mean_excitation_time,
@@ -44,17 +43,11 @@ def test_excitation_trace_bounds():
         ExcitationTrace(dt=1e-9, t0=0.0, values=np.array([0.5, 1.1]))
 
 
-def test_report_method_validation():
-    with pytest.raises(ConfigError, match="method"):
-        ExcitationReport(tau_0=1e-9, tau_T=1e-9, ratio=1.0, method="guess")
-
-
 def test_frozen_default_observables(run, fine_sig):
     rep = spectral_report(fine_sig, run.medium)
     assert rep.tau_0 == pytest.approx(1.571573849993308e-08, rel=1e-12)
     assert rep.tau_T == pytest.approx(6.2704946467791876e-09, rel=1e-12)
     assert rep.ratio == pytest.approx(0.3989945904741218, rel=1e-12)
-    assert rep.method == "spectral"
     assert mean_excitation_time(fine_sig, run.medium) == rep.tau_0
 
 

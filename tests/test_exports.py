@@ -30,6 +30,7 @@ REMOVED = (
     "kappa_closed_form",
     "resonant_amplitude",
     "calibration_slope",
+    "null_dataset",
 )
 
 

@@ -29,7 +29,6 @@ from negdelay.montecarlo import (
     derive_shapes,
     fine_signal,
     kappa_enumeration,
-    null_dataset,
     run_campaign,
     simulate_cycle,
 )
@@ -167,7 +166,7 @@ def test_unconditioned_mean_trace(run, shapes, cal):
 @pytest.mark.parametrize("kind", ["no_atoms", "bypass_atoms"])
 def test_null_clicks_at_full_transmission(run, shapes, cal, kind):
     clicked = total = 0
-    for cyc in null_dataset(kind, 17, 100, shapes, run.shot, cal):
+    for cyc in run_campaign(17, 100, shapes, run.shot, cal, mode=kind):
         clicked += int(cyc.clicked.sum())
         total += cyc.clicked.size
     expected = 1.0 - (1.0 - cal.p_bg) * math.exp(
@@ -191,12 +190,10 @@ def test_no_signal_clicks_are_background_only(run, shapes, cal):
 def test_no_signal_requires_backgrounds(run, shapes):
     cal0 = calibrate_detection(shapes.tbar, 100.0, 0.2, 0.0)
     with pytest.raises(ConfigError, match="background"):
-        list(null_dataset("no_signal", 0, 1, shapes, run.shot, cal0))
+        list(run_campaign(0, 1, shapes, run.shot, cal0, mode="no_signal"))
 
 
 def test_unknown_kind_and_mode(run, shapes, cal):
-    with pytest.raises(ConfigError, match="unknown null kind"):
-        null_dataset("foo", 0, 1, shapes, run.shot, cal)
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match="unknown mode"):
         simulate_cycle(rng, shapes, run.shot, cal, mode="weird")
