@@ -75,14 +75,10 @@ class IntegralResult:
 
     value: float
     sigma: float
-    window: tuple[int, int]
-    jacobian: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.sigma < 0.0:
             raise AnalysisError("sigma must be non-negative")
-        if self.window[0] > self.window[1]:
-            raise AnalysisError("window must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,7 @@ def integral_with_error(
     value, jac = integrate_trapz(trace, window, dt)
     lo, hi = window
     sigma = propagate_error(jac[lo : hi + 1], cov[lo : hi + 1, lo : hi + 1])
-    return IntegralResult(value=value, sigma=sigma, window=window, jacobian=jac)
+    return IntegralResult(value=value, sigma=sigma)
 
 
 def ratio_estimate(

@@ -1,10 +1,12 @@
 """Flat key-value run configuration.
 
 Files are plain text, one ``section.key = value`` per line, ``#`` starts
-a comment. Units ride in the key names (_ns, _MHz, _THz, _mrad, _urad);
-values are converted to SI (seconds, angular rad/s, radians) on load.
-Every key has a default mirroring the experiment's standing constants,
-so an empty file is a valid configuration.
+a comment. Units ride in the key names (_ns, _MHz, _mrad, _urad); values are
+converted to SI (seconds, angular rad/s, radians) on load. Every key has
+a default mirroring the experiment's standing constants, so an empty file
+is a valid configuration. The config hash covers the parsed key values
+with defaults filled in; the linewidth enters once, as resolved, so
+``medium.tau_sp_ns = 26`` hashes like an empty file.
 """
 
 from __future__ import annotations
@@ -25,24 +27,15 @@ __all__ = [
     "parse_config",
     "load_config",
     "default_config",
-    "dump_config",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # sigma0/A making the unconditioned phase peak 15 urad for a 27 ns rms
 # pulse at od 4 (tau_sp 26 ns, probe at -20 MHz) on the default grid
 DEFAULT_SIGMA0_OVER_AREA = 3.540632886280689e-4
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _float(raw: str) -> float:
-    return float(raw)
-
-
-def _int(raw: str) -> int:
-    return int(raw)
 
 
 def _bool(raw: str) -> bool:
@@ -60,36 +53,33 @@ def _float_list(raw: str) -> tuple[float, ...]:
 
 # key -> (parser, default); None default means "optional, no value"
 _SCHEMA = {
-    "medium.od": (_float, 4.0),
-    "medium.tau_sp_ns": (_float, None),
-    "medium.gamma_MHz": (_float, None),
-    "medium.probe_detuning_MHz": (_float, -20.0),
-    "medium.sigma0_over_area": (_float, DEFAULT_SIGMA0_OVER_AREA),
-    "medium.n_slabs": (_int, 128),
-    "medium.atom_frequency_THz": (_float, 384.2302),
-    "pulse.sigma_rms_ns": (_float, 10.0),
-    "pulse.mean_photons": (_float, 100.0),
-    "pulse.center_detuning_MHz": (_float, 0.0),
-    "shot.window_ns": (_float, 576.0),
-    "shot.n_samples": (_int, 36),
-    "shot.dt_ns": (_float, 16.0),
-    "shot.mean_photons": (_float, 100.0),
-    "shot.target_click_prob": (_float, 0.2),
-    "shot.phase_noise_mrad": (_float, 120.0),
-    "shot.background_click_fraction": (_float, 0.1),
+    "medium.od": (float, 4.0),
+    "medium.tau_sp_ns": (float, None),
+    "medium.gamma_MHz": (float, None),
+    "medium.probe_detuning_MHz": (float, -20.0),
+    "medium.sigma0_over_area": (float, DEFAULT_SIGMA0_OVER_AREA),
+    "medium.n_slabs": (int, 128),
+    "pulse.sigma_rms_ns": (float, 10.0),
+    "pulse.center_detuning_MHz": (float, 0.0),
+    "shot.n_samples": (int, 36),
+    "shot.dt_ns": (float, 16.0),
+    "shot.mean_photons": (float, 100.0),
+    "shot.target_click_prob": (float, 0.2),
+    "shot.phase_noise_mrad": (float, 120.0),
+    "shot.background_click_fraction": (float, 0.1),
     "shot.lowpass_enabled": (_bool, False),
-    "shot.lowpass_cutoff_MHz": (_float, 25.0),
-    "shot.shots_per_cycle": (_int, 1500),
-    "shot.pulse_center_ns": (_float, 260.0),
-    "shot.wobble_amplitude_urad": (_float, 0.0),
-    "shot.wobble_frequency_MHz": (_float, 2.0),
-    "shot.wobble_phase_rad": (_float, 0.0),
-    "campaign.n_cycles": (_int, 100),
-    "campaign.seed": (_int, 0),
-    "oracle.n_atoms": (_int, 64),
-    # inert since the oracle keeps no checkpoints; kept so config hashes hold
-    "oracle.checkpoint_interval": (_int, 64),
-    "analysis.window_fraction": (_float, 0.3),
+    "shot.lowpass_cutoff_MHz": (float, 25.0),
+    "shot.shots_per_cycle": (int, 1500),
+    "shot.pulse_center_ns": (float, 260.0),
+    "shot.wobble_amplitude_urad": (float, 0.0),
+    "shot.wobble_frequency_MHz": (float, 2.0),
+    "shot.wobble_phase_rad": (float, 0.0),
+    "campaign.n_cycles": (int, 100),
+    "campaign.seed": (int, 0),
+    "oracle.n_atoms": (int, 64),
+    # inert since the oracle keeps no checkpoints; the benchmark still reads it
+    "oracle.checkpoint_interval": (int, 64),
+    "analysis.window_fraction": (float, 0.3),
     "sweep.sigma_rms_ns": (_float_list, (10.0, 18.0, 27.0, 36.0)),
     "sweep.od": (_float_list, (2.0, 4.0)),
 }
@@ -149,25 +139,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("medium.tau_sp_ns must be positive")
         gamma = 1.0 / (tau_sp * 1e-9)
 
-    omega_atom = _TWO_PI * vals["medium.atom_frequency_THz"] * 1e12
-    detuning = _TWO_PI * vals["medium.probe_detuning_MHz"] * 1e6
-
     medium = MediumSpec(
         od=vals["medium.od"],
         gamma=gamma,
-        probe_detuning=detuning,
-        omega_probe=omega_atom + detuning,
-        omega_atom=omega_atom,
+        probe_detuning=_TWO_PI * vals["medium.probe_detuning_MHz"] * 1e6,
         sigma0_over_area=vals["medium.sigma0_over_area"],
         n_slabs=vals["medium.n_slabs"],
     )
     pulse = PulseSpec(
         sigma_rms=vals["pulse.sigma_rms_ns"] * 1e-9,
-        mean_photons=vals["pulse.mean_photons"],
         center_detuning=_TWO_PI * vals["pulse.center_detuning_MHz"] * 1e6,
     )
     shot = ShotConfig(
-        window=vals["shot.window_ns"] * 1e-9,
         n_samples=vals["shot.n_samples"],
         dt=vals["shot.dt_ns"] * 1e-9,
         mean_photons=vals["shot.mean_photons"],
@@ -193,7 +176,11 @@ def parse_config(text: str) -> RunConfig:
     if not 0.0 <= vals["analysis.window_fraction"] < 1.0:
         raise ConfigError("analysis.window_fraction must lie in [0, 1)")
 
-    run = RunConfig(
+    # the linewidth may be given either way: hash it once, as resolved
+    hashed = dict(vals)
+    del hashed["medium.tau_sp_ns"]
+    hashed["medium.gamma_MHz"] = gamma / (_TWO_PI * 1e6)
+    return RunConfig(
         medium=medium,
         pulse=pulse,
         shot=shot,
@@ -202,30 +189,20 @@ def parse_config(text: str) -> RunConfig:
         n_atoms=vals["oracle.n_atoms"],
         checkpoint_interval=vals["oracle.checkpoint_interval"],
         window_fraction=vals["analysis.window_fraction"],
-        sweep_sigmas=tuple(vals["sweep.sigma_rms_ns"]),
-        sweep_ods=tuple(vals["sweep.od"]),
-        config_hash="",
+        sweep_sigmas=vals["sweep.sigma_rms_ns"],
+        sweep_ods=vals["sweep.od"],
+        config_hash=_hash_values(hashed),
     )
-    object.__setattr__(
-        run, "config_hash", _hash_values(_resolved_values(run))
-    )
-    return run
-
-
-def _canonical(vals: dict) -> str:
-    lines = []
-    for key in sorted(vals):
-        val = vals[key]
-        if isinstance(val, tuple):
-            rendered = ",".join(repr(v) for v in val)
-        else:
-            rendered = repr(val)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def _hash_values(vals: dict) -> str:
-    return hashlib.sha256(_canonical(vals).encode()).hexdigest()[:12]
+    """sha256 prefix of one sorted ``key = repr(value)`` line per key."""
+    lines = []
+    for key in sorted(vals):
+        val = vals[key]
+        rendered = ",".join(map(repr, val)) if isinstance(val, tuple) else repr(val)
+        lines.append(f"{key} = {rendered}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()[:12]
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -238,44 +215,3 @@ def load_config(path: str | Path) -> RunConfig:
 
 def default_config() -> RunConfig:
     return parse_config("")
-
-
-def dump_config(run: RunConfig) -> str:
-    """Canonical resolved key-value text (the hashed form)."""
-    return _canonical(_resolved_values(run))
-
-
-def _resolved_values(run: RunConfig) -> dict:
-    return {
-        "medium.od": run.medium.od,
-        "medium.tau_sp_ns": 1e9 / run.medium.gamma,
-        "medium.gamma_MHz": run.medium.gamma / (_TWO_PI * 1e6),
-        "medium.probe_detuning_MHz": run.medium.probe_detuning / (_TWO_PI * 1e6),
-        "medium.sigma0_over_area": run.medium.sigma0_over_area,
-        "medium.n_slabs": run.medium.n_slabs,
-        "medium.atom_frequency_THz": run.medium.omega_atom / (_TWO_PI * 1e12),
-        "pulse.sigma_rms_ns": run.pulse.sigma_rms * 1e9,
-        "pulse.mean_photons": run.pulse.mean_photons,
-        "pulse.center_detuning_MHz": run.pulse.center_detuning / (_TWO_PI * 1e6),
-        "shot.window_ns": run.shot.window * 1e9,
-        "shot.n_samples": run.shot.n_samples,
-        "shot.dt_ns": run.shot.dt * 1e9,
-        "shot.mean_photons": run.shot.mean_photons,
-        "shot.target_click_prob": run.shot.target_click_prob,
-        "shot.phase_noise_mrad": run.shot.phase_noise_rms * 1e3,
-        "shot.background_click_fraction": run.shot.background_click_fraction,
-        "shot.lowpass_enabled": run.shot.lowpass_enabled,
-        "shot.lowpass_cutoff_MHz": run.shot.lowpass_cutoff / 1e6,
-        "shot.shots_per_cycle": run.shot.shots_per_cycle,
-        "shot.pulse_center_ns": run.shot.pulse_center * 1e9,
-        "shot.wobble_amplitude_urad": run.shot.wobble_amplitude * 1e6,
-        "shot.wobble_frequency_MHz": run.shot.wobble_frequency / 1e6,
-        "shot.wobble_phase_rad": run.shot.wobble_phase,
-        "campaign.n_cycles": run.n_cycles,
-        "campaign.seed": run.seed,
-        "oracle.n_atoms": run.n_atoms,
-        "oracle.checkpoint_interval": run.checkpoint_interval,
-        "analysis.window_fraction": run.window_fraction,
-        "sweep.sigma_rms_ns": run.sweep_sigmas,
-        "sweep.od": run.sweep_ods,
-    }

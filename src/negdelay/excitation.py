@@ -42,7 +42,7 @@ from .medium import (
     lineshape,
     transfer_function,
 )
-from .pulse import SampledSignal, grid_frequencies
+from .pulse import SampledSignal, grid_frequencies, transmission_probability
 
 __all__ = [
     "ExcitationTrace",
@@ -64,7 +64,6 @@ class ExcitationTrace:
     """
 
     dt: float
-    t0: float
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -72,9 +71,6 @@ class ExcitationTrace:
         if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
             raise ConfigError("excitation values must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
-
-    def axis(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.values))
 
     def integral(self) -> float:
         """Plain Riemann integral of the trace, seconds."""
@@ -111,13 +107,11 @@ def excited_population(sig: SampledSignal, medium: MediumSpec) -> ExcitationTrac
         ck = np.fft.fft(base * filt)
         values += w * (ck.real**2 + ck.imag**2)
         filt *= step
-    return ExcitationTrace(dt=sig.dt, t0=sig.t0, values=values)
+    return ExcitationTrace(dt=sig.dt, values=values)
 
 
 def mean_excitation_time(sig: SampledSignal, medium: MediumSpec) -> float:
     """tau_0 = (1 - T)/gamma, seconds (all incident photons)."""
-    from .pulse import transmission_probability
-
     return (1.0 - transmission_probability(sig, medium)) / medium.gamma
 
 

@@ -49,7 +49,6 @@ class MediumSpec:
     od: resonant optical depth, >= 0
     gamma: natural linewidth, angular rad/s, > 0
     probe_detuning: probe detuning Delta from atomic resonance, rad/s
-    omega_probe, omega_atom: absolute angular frequencies, rad/s
     sigma0_over_area: resonant cross-section over probe area, in (0, 1]
     n_slabs: slab count for the excitation model, >= 1
     """
@@ -57,8 +56,6 @@ class MediumSpec:
     od: float
     gamma: float
     probe_detuning: float
-    omega_probe: float
-    omega_atom: float
     sigma0_over_area: float
     n_slabs: int = 128
 
@@ -71,13 +68,6 @@ class MediumSpec:
             raise ConfigError(
                 "sigma0_over_area must lie in (0, 1], got "
                 f"{self.sigma0_over_area}"
-            )
-        if self.omega_probe <= 0.0 or self.omega_atom <= 0.0:
-            raise ConfigError("absolute frequencies must be positive")
-        ratio = self.omega_probe / self.omega_atom
-        if not 0.9 <= ratio <= 1.1:
-            raise ConfigError(
-                f"omega_probe/omega_atom = {ratio:.4f} outside [0.9, 1.1]"
             )
         if int(self.n_slabs) < 1:
             raise ConfigError(f"n_slabs must be >= 1, got {self.n_slabs}")

@@ -42,7 +42,13 @@ from .errors import ConfigError
 from .excitation import phi0_trace
 from .medium import MediumSpec, conversion_factor
 from .oracle import max_step, weak_excitation_trace
-from .pulse import PulseSpec, gaussian_field, transmission_probability
+from .pulse import (
+    DEFAULT_LEAD_SIGMAS,
+    DEFAULT_TAIL_LIFETIMES,
+    PulseSpec,
+    gaussian_field,
+    transmission_probability,
+)
 
 __all__ = [
     "ShotConfig",
@@ -64,31 +70,28 @@ MODES = ("normal", "no_atoms", "bypass_atoms", "no_signal")
 
 @dataclass(frozen=True)
 class ShotConfig:
-    """Acquisition geometry, photon budget and noise for one shot."""
+    """Acquisition geometry, photon budget and noise for one shot.
 
-    window: float = 576e-9
-    n_samples: int = 36
-    dt: float = 16e-9
-    mean_photons: float = 100.0
-    target_click_prob: float = 0.2
-    phase_noise_rms: float = 0.120
-    background_click_fraction: float = 0.1
-    lowpass_enabled: bool = False
-    lowpass_cutoff: float = 25e6
-    shots_per_cycle: int = 1500
-    pulse_center: float = 260e-9
-    wobble_amplitude: float = 0.0
-    wobble_frequency: float = 2e6
-    wobble_phase: float = 0.0
+    The window is n_samples bins of dt; the defaults live in ``config``.
+    """
+
+    n_samples: int
+    dt: float
+    mean_photons: float
+    target_click_prob: float
+    phase_noise_rms: float
+    background_click_fraction: float
+    lowpass_enabled: bool
+    lowpass_cutoff: float
+    shots_per_cycle: int
+    pulse_center: float
+    wobble_amplitude: float
+    wobble_frequency: float
+    wobble_phase: float
 
     def __post_init__(self):
         if self.n_samples < 1 or self.dt <= 0.0:
             raise ConfigError("need n_samples >= 1 and dt > 0")
-        if abs(self.n_samples * self.dt - self.window) > 1e-9 * self.window:
-            raise ConfigError(
-                f"n_samples * dt = {self.n_samples * self.dt:.4e} s does not "
-                f"equal the window {self.window:.4e} s"
-            )
         if self.mean_photons < 0.0:
             raise ConfigError("mean_photons must be non-negative")
         if not 0.0 <= self.target_click_prob < 1.0:
@@ -128,7 +131,6 @@ class PerPhotonShapes:
     and is returned as zero with ``all_transmitted`` set.
     """
 
-    dt: float
     phi_T1: np.ndarray = field(repr=False)
     phi_S1: np.ndarray = field(repr=False)
     phi_01: np.ndarray = field(repr=False)
@@ -155,7 +157,6 @@ class DetectionCalibration:
     eta: float
     p_bg: float
     lam: float  # mean transmitted photons per shot, mu * tbar
-    target_click_prob: float
 
 
 def bin_average(
@@ -181,8 +182,6 @@ def bin_average(
 
 def fine_signal(medium: MediumSpec, pulse: PulseSpec):
     """Pulse field on a grid fine enough for the collision model."""
-    from .pulse import DEFAULT_LEAD_SIGMAS, DEFAULT_TAIL_LIFETIMES
-
     step = max_step(medium, pulse.sigma_rms)
     span = (
         2.0 * DEFAULT_LEAD_SIGMAS * pulse.sigma_rms
@@ -219,7 +218,6 @@ def derive_shapes(
     phi_01 = bin_average(phi_0_fine, sig.dt, sig.t0, edges)
     if 1.0 - tbar < 1e-12:
         return PerPhotonShapes(
-            dt=config.dt,
             phi_T1=phi_t1,
             phi_S1=np.zeros_like(phi_01),
             phi_01=phi_01,
@@ -228,7 +226,7 @@ def derive_shapes(
         )
     phi_s1 = (phi_01 - tbar * phi_t1) / (1.0 - tbar)
     return PerPhotonShapes(
-        dt=config.dt, phi_T1=phi_t1, phi_S1=phi_s1, phi_01=phi_01, tbar=tbar
+        phi_T1=phi_t1, phi_S1=phi_s1, phi_01=phi_01, tbar=tbar
     )
 
 
@@ -250,9 +248,7 @@ def calibrate_detection(
         raise ConfigError("background click fraction must lie in [0, 1)")
     lam = mean_photons * tbar
     if target_click_prob == 0.0:
-        return DetectionCalibration(
-            eta=0.0, p_bg=0.0, lam=lam, target_click_prob=0.0
-        )
+        return DetectionCalibration(eta=0.0, p_bg=0.0, lam=lam)
     p_bg = f_bg * target_click_prob
     needed = math.log((1.0 - p_bg) / (1.0 - target_click_prob))
     if lam <= 0.0:
@@ -265,9 +261,7 @@ def calibrate_detection(
             f"click target {target_click_prob:g} needs eta = {eta:.3f} > 1; "
             "raise mean_photons or the transmission"
         )
-    return DetectionCalibration(
-        eta=eta, p_bg=p_bg, lam=lam, target_click_prob=target_click_prob
-    )
+    return DetectionCalibration(eta=eta, p_bg=p_bg, lam=lam)
 
 
 def kappa_enumeration(

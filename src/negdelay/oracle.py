@@ -93,10 +93,6 @@ class CollisionModel:
     theta: float
     gamma_side: float
 
-    @property
-    def gamma_forward(self) -> float:
-        return self.theta**2 / self.dt
-
 
 @dataclass(frozen=True)
 class WeakTrace:

@@ -42,21 +42,15 @@ class PulseSpec:
     """Gaussian signal-pulse parameters.
 
     sigma_rms: intensity rms duration, seconds, > 0
-    mean_photons: mean photon number per pulse, >= 0
     center_detuning: pulse carrier detuning from resonance, rad/s
     """
 
     sigma_rms: float
-    mean_photons: float = 100.0
     center_detuning: float = 0.0
 
     def __post_init__(self):
         if not self.sigma_rms > 0.0:
             raise ConfigError(f"sigma_rms must be > 0, got {self.sigma_rms}")
-        if not self.mean_photons >= 0.0:
-            raise ConfigError(
-                f"mean_photons must be >= 0, got {self.mean_photons}"
-            )
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ def _cfg(tmp_path, text="", name="run.cfg"):
 
 def _check_header(path, hash_=None):
     lines = path.read_text().splitlines()
-    assert lines[0] == f"# negdelay schema=1 version={__version__}"
+    assert lines[0] == f"# negdelay schema=2 version={__version__}"
     assert lines[1].startswith("# config_hash=")
     if hash_ is not None:
         assert f"config_hash={hash_}" in lines[1]
@@ -42,7 +42,7 @@ def test_theory_outputs_and_determinism(tmp_path):
     assert main(["theory", "--out", str(a)]) == 0
     assert main(["theory", "--out", str(b)]) == 0
     for name in ("phi0_theory.csv", "phiT_theory.csv", "summary.csv"):
-        lines = _check_header(a / name, hash_="da103f89373a")
+        lines = _check_header(a / name, hash_="8df73f97d89c")
         assert (a / name).read_bytes() == (b / name).read_bytes()
     header = (a / "summary.csv").read_text().splitlines()[2]
     assert header == "tau0_ns,tauT_ns,ratio,method"
@@ -191,11 +191,11 @@ def test_failed_campaign_writes_no_log(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def _analyze_fails(tmp_path, capsys, cfg, log):
+def _analyze_fails(tmp_path, capsys, cfg, log, msg="cannot read shot log"):
     out = tmp_path / "res"
     rc = main(["analyze", "--config", cfg, "--log", str(log), "--out", str(out)])
     assert rc == 2
-    assert "cannot read shot log" in capsys.readouterr().err
+    assert msg in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -338,6 +338,24 @@ def test_analyze_rejects_foreign_log(tmp_path, capsys):
     )
     assert rc == 2
     assert "config hash" in capsys.readouterr().err
+
+
+def test_analyze_rejects_old_schema_log(tmp_path, capsys):
+    """A schema-1 log hashed its config another way: refused before any
+    output is written, even where everything else matches."""
+    cfg = _cfg(tmp_path, TINY)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    log = sim / "shots.npz"
+    with zipfile.ZipFile(log) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    meta = json.loads(members["meta.json"])
+    meta["schema"] = 1
+    members["meta.json"] = json.dumps(meta)
+    with zipfile.ZipFile(log, "w") as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+    _analyze_fails(tmp_path, capsys, cfg, log, msg="schema")
 
 
 def test_nullcheck_gate(tmp_path):

@@ -1,5 +1,5 @@
 """Key-value configuration: defaults, unit conversion, diagnostics and
-the resolved-value hash."""
+the hash of the parsed values."""
 
 import hashlib
 import math
@@ -7,9 +7,9 @@ import math
 import pytest
 
 from negdelay.config import (
+    _SCHEMA,
     DEFAULT_SIGMA0_OVER_AREA,
     default_config,
-    dump_config,
     load_config,
     parse_config,
 )
@@ -24,8 +24,6 @@ def test_defaults_mirror_standing_constants():
     assert m.od == 4.0
     assert m.gamma == pytest.approx(1.0 / 26e-9, rel=1e-15)
     assert m.probe_detuning == pytest.approx(-TWO_PI * 20e6, rel=1e-15)
-    assert m.omega_atom == pytest.approx(TWO_PI * 384.2302e12, rel=1e-15)
-    assert m.omega_probe == m.omega_atom + m.probe_detuning
     assert m.sigma0_over_area == DEFAULT_SIGMA0_OVER_AREA
     assert m.n_slabs == 128
     assert run.pulse.sigma_rms == pytest.approx(10e-9, rel=1e-15)
@@ -46,20 +44,86 @@ def test_defaults_mirror_standing_constants():
 
 
 def test_default_hash_is_frozen():
-    assert default_config().config_hash == "da103f89373a"
+    assert default_config().config_hash == "8df73f97d89c"
 
 
-def test_dump_is_the_hash_preimage():
-    run = parse_config("medium.od = 3.0\ncampaign.seed = 5")
-    text = dump_config(run)
+def test_hash_preimage_is_the_parsed_values():
+    """One sorted ``key = repr(value)`` line per key, defaults filled in;
+    the linewidth appears once, as the resolved gamma_MHz."""
+    text = """\
+analysis.window_fraction = 0.3
+campaign.n_cycles = 100
+campaign.seed = 5
+medium.gamma_MHz = 6.121343965072898
+medium.n_slabs = 128
+medium.od = 3.0
+medium.probe_detuning_MHz = -20.0
+medium.sigma0_over_area = 0.0003540632886280689
+oracle.checkpoint_interval = 64
+oracle.n_atoms = 64
+pulse.center_detuning_MHz = 0.0
+pulse.sigma_rms_ns = 10.0
+shot.background_click_fraction = 0.1
+shot.dt_ns = 16.0
+shot.lowpass_cutoff_MHz = 25.0
+shot.lowpass_enabled = False
+shot.mean_photons = 100.0
+shot.n_samples = 36
+shot.phase_noise_mrad = 120.0
+shot.pulse_center_ns = 260.0
+shot.shots_per_cycle = 1500
+shot.target_click_prob = 0.2
+shot.wobble_amplitude_urad = 0.0
+shot.wobble_frequency_MHz = 2.0
+shot.wobble_phase_rad = 0.0
+sweep.od = 2.0,4.0
+sweep.sigma_rms_ns = 10.0,18.0,27.0,36.0
+"""
+    run = parse_config("medium.od = 3\ncampaign.seed = 5\nmedium.tau_sp_ns = 26")
     assert hashlib.sha256(text.encode()).hexdigest()[:12] == run.config_hash
-    for key in (
-        "medium.od = 3.0",
-        "campaign.seed = 5",
-        "shot.shots_per_cycle = 1500",
-        "sweep.od = 2.0,4.0",
-    ):
-        assert key in text
+
+
+#: per key: a value written as the default resolves, then another valid one
+KEY_VALUES = {
+    "medium.od": ("4", "3.5"),
+    "medium.tau_sp_ns": ("26", "13"),
+    "medium.gamma_MHz": ("6.121343965072898", "6.07"),  # exactly 1 / 26 ns
+    "medium.probe_detuning_MHz": ("-20", "-17.3"),
+    "medium.sigma0_over_area": ("3.540632886280689e-4", "3e-4"),
+    "medium.n_slabs": ("128", "64"),
+    "pulse.sigma_rms_ns": ("10", "27"),
+    "pulse.center_detuning_MHz": ("0", "1.5"),
+    "shot.n_samples": ("36", "40"),
+    "shot.dt_ns": ("16", "8"),
+    "shot.mean_photons": ("100", "50"),
+    "shot.target_click_prob": ("0.2", "0.1"),
+    "shot.phase_noise_mrad": ("120", "12"),
+    "shot.background_click_fraction": ("0.1", "0"),
+    "shot.lowpass_enabled": ("off", "on"),
+    "shot.lowpass_cutoff_MHz": ("25", "10"),
+    "shot.shots_per_cycle": ("1500", "60"),
+    "shot.pulse_center_ns": ("260", "300"),
+    "shot.wobble_amplitude_urad": ("0", "90"),
+    "shot.wobble_frequency_MHz": ("2", "3"),
+    "shot.wobble_phase_rad": ("0", "1"),
+    "campaign.n_cycles": ("100", "6"),
+    "campaign.seed": ("0", "5"),
+    "oracle.n_atoms": ("64", "128"),
+    "oracle.checkpoint_interval": ("64", "32"),
+    "analysis.window_fraction": ("0.3", "0.5"),
+    "sweep.sigma_rms_ns": ("10, 18, 27, 36", "10, 36"),
+    "sweep.od": ("2, 4", "0, 3"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(set(_SCHEMA) | set(KEY_VALUES)))
+def test_every_key_reaches_the_hash(key):
+    """A key missing from KEY_VALUES fails with KeyError, a stale one as an
+    unknown key: every key must matter, and only through its value."""
+    same, other = KEY_VALUES[key]
+    base = default_config().config_hash
+    assert parse_config(f"{key} = {same}").config_hash == base
+    assert parse_config(f"{key} = {other}").config_hash != base
 
 
 def test_hash_tracks_resolved_values_only():
@@ -97,6 +161,11 @@ def test_comments_and_blank_lines():
         ("medium.od = four", "key 'medium.od'"),
         ("shot.lowpass_enabled = maybe", "not a boolean"),
         ("shot.n_samples = 3.5", "key 'shot.n_samples'"),
+        # deleted keys: the photon budget is shot.mean_photons and the
+        # window is shot.n_samples x shot.dt_ns
+        ("pulse.mean_photons = 50", "line 1: unknown key"),
+        ("medium.atom_frequency_THz = 384.2302", "line 1: unknown key"),
+        ("shot.window_ns = 576", "line 1: unknown key"),
     ],
 )
 def test_parse_diagnostics(text, msg):
@@ -119,11 +188,6 @@ def test_parse_diagnostics(text, msg):
 def test_value_validation(text, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config(text)
-
-
-def test_inconsistent_window_surfaces_shot_validation():
-    with pytest.raises(ConfigError, match="does not"):
-        parse_config("shot.dt_ns = 17")
 
 
 def test_sweep_lists():

@@ -36,11 +36,11 @@ def test_conservation_for_detuned_pulse(run):
 
 
 def test_excitation_trace_bounds():
-    ExcitationTrace(dt=1e-9, t0=0.0, values=np.array([0.0, 0.5, 1.0]))
+    ExcitationTrace(dt=1e-9, values=np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ConfigError, match="lie in"):
-        ExcitationTrace(dt=1e-9, t0=0.0, values=np.array([-1e-3, 0.5]))
+        ExcitationTrace(dt=1e-9, values=np.array([-1e-3, 0.5]))
     with pytest.raises(ConfigError, match="lie in"):
-        ExcitationTrace(dt=1e-9, t0=0.0, values=np.array([0.5, 1.1]))
+        ExcitationTrace(dt=1e-9, values=np.array([0.5, 1.1]))
 
 
 def test_frozen_default_observables(run, fine_sig):

@@ -1,11 +1,17 @@
-"""Public surface: every ``__all__`` entry resolves, and names that were
-removed from the package stay removed."""
+"""Public surface: every ``__all__`` entry resolves, and names and
+fields that were removed from the package stay removed."""
 
+import dataclasses
 import importlib
 import pkgutil
 
 import negdelay
-from negdelay.montecarlo import DetectionCalibration
+from negdelay.analysis import IntegralResult
+from negdelay.excitation import ExcitationTrace
+from negdelay.medium import MediumSpec
+from negdelay.montecarlo import DetectionCalibration, PerPhotonShapes, ShotConfig
+from negdelay.oracle import CollisionModel
+from negdelay.pulse import PulseSpec
 
 MODULES = ["negdelay"] + [
     f"negdelay.{info.name}" for info in pkgutil.iter_modules(negdelay.__path__)
@@ -31,7 +37,20 @@ REMOVED = (
     "resonant_amplitude",
     "calibration_slope",
     "null_dataset",
+    "dump_config",
 )
+
+#: deleted fields and methods: stored or computed, but read by nothing
+REMOVED_FIELDS = {
+    DetectionCalibration: ("kappa", "target_click_prob"),
+    MediumSpec: ("omega_probe", "omega_atom"),
+    PulseSpec: ("mean_photons",),
+    ShotConfig: ("window",),
+    PerPhotonShapes: ("dt",),
+    IntegralResult: ("window", "jacobian"),
+    ExcitationTrace: ("axis", "t0"),
+    CollisionModel: ("gamma_forward",),
+}
 
 
 def test_all_resolves_and_removed_names_stay_gone():
@@ -43,4 +62,11 @@ def test_all_resolves_and_removed_names_stay_gone():
         stale += [f"{name}.{n}" for n in REMOVED if hasattr(module, n)]
     assert missing == []
     assert stale == []
-    assert not hasattr(DetectionCalibration, "kappa")
+    for cls, names in REMOVED_FIELDS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            assert name not in fields and not hasattr(cls, name), (cls, name)
+    # config's key table is the one place that knows the default shot
+    assert all(
+        f.default is dataclasses.MISSING for f in dataclasses.fields(ShotConfig)
+    )

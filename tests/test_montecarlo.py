@@ -23,7 +23,6 @@ from negdelay.errors import ConfigError
 from negdelay.montecarlo import (
     DetectionCalibration,
     PerPhotonShapes,
-    ShotConfig,
     bin_average,
     calibrate_detection,
     derive_shapes,
@@ -396,7 +395,6 @@ def test_shape_decomposition_guard():
     n = 4
     with pytest.raises(ConfigError, match="decomposition"):
         PerPhotonShapes(
-            dt=16e-9,
             phi_T1=np.ones(n),
             phi_S1=np.zeros(n),
             phi_01=np.ones(n),
@@ -441,8 +439,8 @@ def test_ratio_estimate_is_scale_free(run, shapes, cal):
 @pytest.mark.parametrize(
     "kwargs, msg",
     [
-        (dict(n_samples=0, window=0.0), "n_samples"),
-        (dict(dt=17e-9), "does not"),
+        (dict(n_samples=0), "n_samples"),
+        (dict(dt=0.0), "dt > 0"),
         (dict(mean_photons=-1.0), "mean_photons"),
         (dict(target_click_prob=1.0), "target_click_prob"),
         (dict(background_click_fraction=0.25), "background_click_fraction"),
@@ -452,17 +450,17 @@ def test_ratio_estimate_is_scale_free(run, shapes, cal):
         (dict(shots_per_cycle=0), "shots_per_cycle"),
     ],
 )
-def test_shot_config_validation(kwargs, msg):
+def test_shot_config_validation(run, kwargs, msg):
     with pytest.raises(ConfigError, match=msg):
-        replace(ShotConfig(), **kwargs)
+        replace(run.shot, **kwargs)
 
 
-def test_shot_config_sample_times():
-    cfg = ShotConfig()
+def test_shot_config_sample_times(run):
+    cfg = run.shot
     t = cfg.sample_times()
     assert t[0] == pytest.approx(8e-9, rel=1e-15)
     assert len(t) == cfg.n_samples
-    assert t[-1] < cfg.window
+    assert t[-1] < cfg.n_samples * cfg.dt
 
 
 def test_campaign_guard(run, shapes, cal):

@@ -14,7 +14,6 @@ from negdelay.oracle import (
     MAX_OD_PER_ATOM,
     STEP_LIFETIME_FRACTION,
     STEP_SIGMA_FRACTION,
-    CollisionModel,
     build_model,
     calibrate_rotation,
     max_step,
@@ -70,11 +69,6 @@ def test_max_step_regimes(run):
     assert max_step(run.medium, 700e-9) == pytest.approx(
         STEP_LIFETIME_FRACTION / run.medium.gamma, rel=1e-15
     )
-
-
-def test_forward_rate_property():
-    model = CollisionModel(n_atoms=1, dt=1e-10, theta=0.01, gamma_side=1e5)
-    assert model.gamma_forward == pytest.approx(1e-4 / 1e-10, rel=1e-15)
 
 
 def test_single_emitter_long_pulse_transmission(run):

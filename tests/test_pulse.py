@@ -66,8 +66,8 @@ def test_sample_step_must_be_positive():
 def test_pulse_spec_validation():
     with pytest.raises(ConfigError, match="sigma_rms"):
         PulseSpec(sigma_rms=0.0)
-    with pytest.raises(ConfigError, match="mean_photons"):
-        PulseSpec(sigma_rms=10e-9, mean_photons=-1.0)
+    with pytest.raises(ConfigError, match="sigma_rms"):
+        PulseSpec(sigma_rms=float("nan"))
 
 
 @pytest.mark.parametrize("od,gate", [(1.0, 2e-3), (2.0, 4e-3)])
