@@ -193,9 +193,7 @@ def accumulate(cycles, keep_differences: bool = False):
     return res
 
 
-def integration_window(
-    theory_trace: np.ndarray, fraction: float = 0.3
-) -> tuple[int, int]:
+def integration_window(theory_trace: np.ndarray, fraction: float) -> tuple[int, int]:
     """Outermost crossings of fraction * max|trace|, inclusive indices."""
     if not 0.0 <= fraction < 1.0:
         raise AnalysisError("window fraction must lie in [0, 1)")
@@ -394,11 +392,12 @@ def bootstrap_sigma(
     _, jac = integrate_trapz(d[0], window, dt)
     per_cycle = d[:, lo : hi + 1] @ jac[lo : hi + 1]
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, d.shape[0], size=(n_resamples, d.shape[0]))
-    # gather the resampled rows a block at a time: each row's mean is
-    # reduced exactly as in one (n_resamples, cycles) gather
+    # draw and gather the resampled rows a block at a time: the generator
+    # continues one stream across calls, so the indices and each row's
+    # mean are exactly those of one (n_resamples, cycles) draw
     means = np.empty(n_resamples)
     for start in range(0, n_resamples, _BOOTSTRAP_BLOCK):
-        rows = idx[start : start + _BOOTSTRAP_BLOCK]
-        means[start : start + len(rows)] = per_cycle[rows].mean(axis=1)
+        rows = min(_BOOTSTRAP_BLOCK, n_resamples - start)
+        idx = rng.integers(0, d.shape[0], size=(rows, d.shape[0]))
+        means[start : start + rows] = per_cycle[idx].mean(axis=1)
     return float(means.std(ddof=1))

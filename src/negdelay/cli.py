@@ -256,8 +256,6 @@ def _cmd_theory(run: RunConfig, out: Path, args) -> int:
 
 def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
     seed = run.seed if args.seed is None else args.seed
-    if run.n_cycles == 0:
-        raise ConfigError("campaign.n_cycles is 0: nothing to simulate")
     shapes, cal = _prepare(run)
     cycles = run_campaign(
         seed,

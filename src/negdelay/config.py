@@ -165,8 +165,9 @@ def parse_config(text: str) -> RunConfig:
         wobble_frequency=vals["shot.wobble_frequency_MHz"] * 1e6,
         wobble_phase=vals["shot.wobble_phase_rad"],
     )
-    if vals["campaign.n_cycles"] < 0:
-        raise ConfigError("campaign.n_cycles must be non-negative")
+    if vals["campaign.n_cycles"] < 2:
+        # the click/no-click covariance needs two cycles
+        raise ConfigError("campaign.n_cycles must be at least 2")
     if vals["campaign.seed"] < 0:
         raise ConfigError("campaign.seed must be non-negative")
     if vals["oracle.n_atoms"] < 1:

@@ -35,13 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .medium import (
-    MediumSpec,
-    conversion_factor,
-    group_delay,
-    lineshape,
-    transfer_function,
-)
+from .medium import MediumSpec, conversion_factor, group_delay, transfer_function
 from .pulse import SampledSignal, grid_frequencies, transmission_probability
 
 __all__ = [
@@ -94,13 +88,12 @@ def excited_population(sig: SampledSignal, medium: MediumSpec) -> ExcitationTrac
     """
     n = sig.n
     delta = grid_frequencies(n, sig.dt)
-    line = lineshape(delta, medium.gamma)
     spec = np.fft.ifft(sig.samples)  # grid-relative spectrum / (n dt)
     kernel = (np.sqrt(medium.gamma) / 2.0) / (medium.gamma / 2.0 - 1j * delta)
     base = spec * kernel
     w = medium.od / medium.n_slabs
-    half = np.exp(-(w / 4.0) * line)  # amplitude to first slab midpoint
-    step = np.exp(-(w / 2.0) * line)
+    half = transfer_function(delta, w / 2.0, medium.gamma)  # to first midpoint
+    step = transfer_function(delta, w, medium.gamma)
     values = np.zeros(n)
     filt = half.copy()
     for _ in range(medium.n_slabs):

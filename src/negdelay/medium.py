@@ -57,7 +57,7 @@ class MediumSpec:
     gamma: float
     probe_detuning: float
     sigma0_over_area: float
-    n_slabs: int = 128
+    n_slabs: int
 
     def __post_init__(self):
         if not self.od >= 0.0:

@@ -43,8 +43,8 @@ from .excitation import phi0_trace
 from .medium import MediumSpec, conversion_factor
 from .oracle import max_step, weak_excitation_trace
 from .pulse import (
-    DEFAULT_LEAD_SIGMAS,
-    DEFAULT_TAIL_LIFETIMES,
+    LEAD_SIGMAS,
+    TAIL_LIFETIMES,
     PulseSpec,
     gaussian_field,
     transmission_probability,
@@ -183,10 +183,7 @@ def bin_average(
 def fine_signal(medium: MediumSpec, pulse: PulseSpec):
     """Pulse field on a grid fine enough for the collision model."""
     step = max_step(medium, pulse.sigma_rms)
-    span = (
-        2.0 * DEFAULT_LEAD_SIGMAS * pulse.sigma_rms
-        + DEFAULT_TAIL_LIFETIMES / medium.gamma
-    )
+    span = 2.0 * LEAD_SIGMAS * pulse.sigma_rms + TAIL_LIFETIMES / medium.gamma
     n = max(4096, 1 << math.ceil(math.log2(span / step)))
     return gaussian_field(pulse, medium.gamma, n=n)
 
@@ -264,9 +261,11 @@ def calibrate_detection(
     return DetectionCalibration(eta=eta, p_bg=p_bg, lam=lam)
 
 
-def kappa_enumeration(
-    eta: float, lam: float, p_bg: float, n_max: int = 200
-) -> float:
+#: largest photon number summed by kappa_enumeration
+_KAPPA_N_MAX = 200
+
+
+def kappa_enumeration(eta: float, lam: float, p_bg: float) -> float:
     """Poisson-conditioning factor kappa by direct summation over the
     Poisson support.
 
@@ -279,9 +278,9 @@ def kappa_enumeration(
     # exp(-lam) underflow would zero the whole sum and dodge the tail
     # check below
     if pmf == 0.0:
-        raise ConfigError(f"Poisson tail not negligible at n_max = {n_max}")
+        raise ConfigError(f"Poisson tail not negligible at n_max = {_KAPPA_N_MAX}")
     p_click = e_n_click = e_n_noclick = p_noclick = 0.0
-    for n in range(n_max + 1):
+    for n in range(_KAPPA_N_MAX + 1):
         p_click_n = 1.0 - (1.0 - p_bg) * (1.0 - eta) ** n
         p_click += pmf * p_click_n
         e_n_click += pmf * n * p_click_n
@@ -289,7 +288,7 @@ def kappa_enumeration(
         e_n_noclick += pmf * n * (1.0 - p_click_n)
         pmf *= lam / (n + 1)
     if pmf * lam > 1e-12:
-        raise ConfigError(f"Poisson tail not negligible at n_max = {n_max}")
+        raise ConfigError(f"Poisson tail not negligible at n_max = {_KAPPA_N_MAX}")
     if p_click == 0.0:
         return 1.0
     if p_noclick == 0.0:

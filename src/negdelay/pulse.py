@@ -84,48 +84,36 @@ class SampledSignal:
         return self.t0 + self.dt * np.arange(self.n)
 
 
-DEFAULT_LEAD_SIGMAS = 9.0
-DEFAULT_TAIL_LIFETIMES = 15.0
+LEAD_SIGMAS = 9.0
+TAIL_LIFETIMES = 15.0
 
 
-def gaussian_field(
-    pulse: PulseSpec,
-    gamma: float,
-    n: int = 4096,
-    center: float = 0.0,
-    lead_sigmas: float = DEFAULT_LEAD_SIGMAS,
-    tail_lifetimes: float = DEFAULT_TAIL_LIFETIMES,
-) -> SampledSignal:
-    """Unit-normalized Gaussian field envelope on an adequate grid.
+def gaussian_field(pulse: PulseSpec, gamma: float, n: int = 4096) -> SampledSignal:
+    """Unit-normalized Gaussian field envelope on n samples.
 
-    The default grid spans ``center +- lead_sigmas * sigma`` plus
-    ``tail_lifetimes / gamma`` of trailing room for the medium's ringdown.
-    Preconditions enforced: at least +-6 sigma around the pulse center,
-    at least 10/gamma of trailing time, and |E| below 1e-8 of peak at both
-    grid edges (9 sigma is the smallest whole-sigma lead meeting that for
-    the exp(-t^2/4 sigma^2) envelope).
+    The grid always spans [-9 sigma, 9 sigma + 15/gamma) around the pulse
+    peak at t = 0: 9 sigma is the smallest whole-sigma lead that leaves
+    the exp(-t^2/4 sigma^2) envelope below 1e-8 of its peak, and 15
+    lifetimes of trailing room hold the medium's ringdown. The edge guard
+    rejects a grid whose first or last sample holds more than 1e-8 of its
+    largest sample. At this span that happens only on grids too coarse to
+    sample the pulse: n = 2 always (one of its two samples is the
+    largest), and small n such as 4 or 8 when the pulse falls between
+    samples or near the last one.
     """
     sig = pulse.sigma_rms
-    t_lo = center - lead_sigmas * sig
-    t_hi = center + lead_sigmas * sig + tail_lifetimes / gamma
+    t_lo = -LEAD_SIGMAS * sig
+    t_hi = LEAD_SIGMAS * sig + TAIL_LIFETIMES / gamma
     dt = (t_hi - t_lo) / n
     t = t_lo + dt * np.arange(n)
-    _check_span(t, center, sig, gamma)
-    env = np.exp(-((t - center) ** 2) / (4.0 * sig * sig)).astype(np.complex128)
+    env = np.exp(-(t**2) / (4.0 * sig * sig)).astype(np.complex128)
     if pulse.center_detuning != 0.0:
-        env *= np.exp(-1j * pulse.center_detuning * (t - center))
+        env *= np.exp(-1j * pulse.center_detuning * t)
     peak = np.abs(env).max()
     if abs(env[0]) > EDGE_GUARD * peak or abs(env[-1]) > EDGE_GUARD * peak:
         raise GridError("pulse does not decay below 1e-8 of peak at grid edges")
     env /= np.sqrt(np.sum(np.abs(env) ** 2) * dt)
     return SampledSignal(dt=dt, t0=t_lo, samples=env)
-
-
-def _check_span(t, center: float, sigma: float, gamma: float):
-    if t[0] > center - 6.0 * sigma or t[-1] < center + 6.0 * sigma:
-        raise GridError("grid must span at least +-6 sigma around the pulse")
-    if t[-1] - center < 10.0 / gamma:
-        raise GridError("grid must leave at least 10/gamma of trailing time")
 
 
 def grid_frequencies(n: int, dt: float) -> np.ndarray:

@@ -169,11 +169,15 @@ def test_log_members_are_stored(tmp_path):
 
 
 def test_simulate_without_cycles_writes_no_log(tmp_path, capsys):
-    cfg = _cfg(tmp_path, "campaign.n_cycles = 0\n")
-    out = tmp_path / "sim"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert "n_cycles is 0" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    """simulate and nullcheck reject campaigns of fewer than two cycles
+    before writing anything."""
+    for n_cycles in (0, 1):
+        cfg = _cfg(tmp_path, f"campaign.n_cycles = {n_cycles}\n")
+        for argv in (["simulate"], ["nullcheck", "--kind", "bypass_atoms"]):
+            out = tmp_path / f"{argv[0]}{n_cycles}"
+            assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+            assert "n_cycles must be at least 2" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_failed_campaign_writes_no_log(tmp_path, monkeypatch):
@@ -456,6 +460,15 @@ def test_convergence_failure_exits_3(tmp_path, capsys):
     rc = main(["theory", "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == 3
     assert "increase n_atoms" in capsys.readouterr().err
+
+
+def test_empty_click_class_exits_4(tmp_path, capsys):
+    cfg = _cfg(tmp_path, TINY + "shot.target_click_prob = 0\n")
+    out = tmp_path / "null"
+    argv = ["nullcheck", "--kind", "bypass_atoms", "--config", cfg]
+    assert main(argv + ["--out", str(out)]) == 4
+    assert "click class is empty" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_missing_and_corrupt_logs_exit_2(tmp_path, capsys):

@@ -176,7 +176,9 @@ def test_parse_diagnostics(text, msg):
 @pytest.mark.parametrize(
     "text, msg",
     [
-        ("campaign.n_cycles = -1", "non-negative"),
+        ("campaign.n_cycles = -1", "at least 2"),
+        ("campaign.n_cycles = 0", "at least 2"),
+        ("campaign.n_cycles = 1", "at least 2"),
         ("campaign.seed = -1", "non-negative"),
         ("oracle.n_atoms = 0", "at least 1"),
         ("oracle.checkpoint_interval = 0", "at least 1"),

@@ -26,6 +26,7 @@ def medium(**kw):
         gamma=GAMMA,
         probe_detuning=DETUNING,
         sigma0_over_area=SIGMA0,
+        n_slabs=128,
     )
     base.update(kw)
     return MediumSpec(**base)

@@ -39,17 +39,31 @@ def test_spectral_rms_matches_convention(run):
     assert rms == pytest.approx(1.0 / (2.0 * run.pulse.sigma_rms), rel=5e-3)
 
 
-def test_edge_guard_rejects_short_lead(run):
-    # 7 sigma passes the span preconditions but leaves exp(-49/4) at the edge
-    with pytest.raises(GridError, match="does not decay"):
-        gaussian_field(run.pulse, run.medium.gamma, lead_sigmas=7.0)
-
-
-def test_span_preconditions(run):
-    with pytest.raises(GridError, match="6 sigma"):
-        gaussian_field(run.pulse, run.medium.gamma, lead_sigmas=5.0)
-    with pytest.raises(GridError, match="trailing"):
-        gaussian_field(run.pulse, run.medium.gamma, tail_lifetimes=5.0)
+@pytest.mark.parametrize(
+    "sigma, n, accepted",
+    [
+        (10e-9, 2, False),  # one of two samples is the largest
+        (300e-9, 2, False),
+        (10e-9, 4, False),  # the pulse falls between samples
+        (27e-9, 4, True),
+        (50e-9, 4, True),
+        (300e-9, 4, False),  # last sample within 6 sigma of the peak
+        (10e-9, 8, True),
+        (10e-9, 4096, True),
+    ],
+)
+def test_fixed_span_grid_acceptance(sigma, n, accepted):
+    """The fixed [-9 sigma, 9 sigma + 15/gamma) grid accepts exactly the
+    (sigma, n) that the former span preconditions plus the edge guard
+    accepted, at gamma = 1/26 ns."""
+    pulse, gamma = PulseSpec(sigma_rms=sigma), 1.0 / 26e-9
+    if accepted:
+        sig = gaussian_field(pulse, gamma, n=n)
+        assert sig.t0 == -9.0 * sigma
+        assert sig.n * sig.dt == pytest.approx(18.0 * sigma + 15.0 / gamma)
+    else:
+        with pytest.raises(GridError, match="does not decay"):
+            gaussian_field(pulse, gamma, n=n)
 
 
 @pytest.mark.parametrize("n", [1, 3, 100])
