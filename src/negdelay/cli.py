@@ -83,8 +83,10 @@ def _write_log(
 
     Each cycle's traces go into ``traces.npy`` as the cycle arrives, after
     a header for the known shape; only the per-shot vectors are held until
-    the end. The log is built under a temporary name and renamed into
-    place only once complete, so a failed campaign leaves no log.
+    the end. The click flags are always stored; ``truth`` also stores the
+    photon fates (``_TRUTH_ARRAYS``) that every sampled cycle carries. The
+    log is built under a temporary name and renamed into place only once
+    complete, so a failed campaign leaves no log.
     """
     shape = (run.n_cycles, run.shot.shots_per_cycle, run.shot.n_samples)
     header = io.BytesIO()
@@ -171,13 +173,15 @@ def _read_log(path: Path, run: RunConfig):
         if (
             shape != expected
             or clicked.shape != expected[:2]
+            or clicked.dtype != np.bool_
             or dtype != np.float64
             or fortran_order
             or data_bytes != row_bytes * shape[0]
         ):
             raise unreadable(
                 f"traces.npy holds {shape} {dtype} in {data_bytes} bytes, "
-                f"clicked.npy {clicked.shape}; expected {expected} float64"
+                f"clicked.npy {clicked.shape} {clicked.dtype}; "
+                f"expected {expected} float64 and bool"
             )
 
         def cycles():
@@ -255,18 +259,11 @@ def _cmd_theory(run: RunConfig, out: Path, args) -> int:
 
 
 def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
-    seed = run.seed if args.seed is None else args.seed
     shapes, cal = _prepare(run)
     cycles = run_campaign(
-        seed,
-        run.n_cycles,
-        shapes,
-        run.shot,
-        cal,
-        jobs=args.jobs,
-        truth=args.truth,
+        args.seed, run.n_cycles, shapes, run.shot, cal, jobs=args.jobs
     )
-    _write_log(out / "shots.npz", run, seed, "normal", cycles, args.truth)
+    _write_log(out / "shots.npz", run, args.seed, "normal", cycles, args.truth)
     return 0
 
 
@@ -319,10 +316,9 @@ def _cmd_analyze(run: RunConfig, out: Path, args) -> int:
 
 
 def _cmd_nullcheck(run: RunConfig, out: Path, args) -> int:
-    seed = run.seed if args.seed is None else args.seed
     shapes, cal = _prepare(run)
     cycles = run_campaign(
-        seed,
+        args.seed,
         run.n_cycles,
         shapes,
         run.shot,
@@ -330,7 +326,7 @@ def _cmd_nullcheck(run: RunConfig, out: Path, args) -> int:
         mode=args.kind,
         jobs=args.jobs,
     )
-    return _analyze_cycles(run, shapes, cycles, out, seed, gate=True)
+    return _analyze_cycles(run, shapes, cycles, out, args.seed, gate=True)
 
 
 def _cmd_sweep(run: RunConfig, out: Path, args) -> int:
@@ -371,6 +367,19 @@ _COMMANDS = {
 }
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negdelay",
@@ -382,10 +391,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--out", required=True, help="output directory")
         if name in ("simulate", "nullcheck"):
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_at_least(0), default=0)
             p.add_argument(
                 "--jobs",
-                type=int,
+                type=_at_least(1),
                 default=None,
                 help="threads drawing cycles (default: every usable CPU; "
                 "output does not depend on it)",

@@ -4,9 +4,10 @@ Files are plain text, one ``section.key = value`` per line, ``#`` starts
 a comment. Units ride in the key names (_ns, _MHz, _mrad, _urad); values are
 converted to SI (seconds, angular rad/s, radians) on load. Every key has
 a default mirroring the experiment's standing constants, so an empty file
-is a valid configuration. The config hash covers the parsed key values
-with defaults filled in; the linewidth enters once, as resolved, so
-``medium.tau_sp_ns = 26`` hashes like an empty file.
+is a valid configuration. The linewidth is ``medium.gamma_MHz`` (gamma /
+2 pi; the default is a 26 ns lifetime). The config hash covers the parsed
+key values with defaults filled in. The random seed is not a key: it is
+the ``--seed`` flag of the commands that draw shots.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ __all__ = [
     "default_config",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # sigma0/A making the unconditioned phase peak 15 urad for a 27 ns rms
-# pulse at od 4 (tau_sp 26 ns, probe at -20 MHz) on the default grid
+# pulse at od 4 (26 ns lifetime, probe at -20 MHz) on the default grid
 DEFAULT_SIGMA0_OVER_AREA = 3.540632886280689e-4
 
 _TWO_PI = 2.0 * math.pi
@@ -51,11 +52,11 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(","))
 
 
-# key -> (parser, default); None default means "optional, no value"
+# key -> (parser, default)
 _SCHEMA = {
     "medium.od": (float, 4.0),
-    "medium.tau_sp_ns": (float, None),
-    "medium.gamma_MHz": (float, None),
+    # gamma / 2 pi of a 26 ns lifetime; 2 pi * this * 1e6 == 1 / 26e-9 exactly
+    "medium.gamma_MHz": (float, 6.121343965072898),
     "medium.probe_detuning_MHz": (float, -20.0),
     "medium.sigma0_over_area": (float, DEFAULT_SIGMA0_OVER_AREA),
     "medium.n_slabs": (int, 128),
@@ -75,7 +76,6 @@ _SCHEMA = {
     "shot.wobble_frequency_MHz": (float, 2.0),
     "shot.wobble_phase_rad": (float, 0.0),
     "campaign.n_cycles": (int, 100),
-    "campaign.seed": (int, 0),
     "oracle.n_atoms": (int, 64),
     # inert since the oracle keeps no checkpoints; the benchmark still reads it
     "oracle.checkpoint_interval": (int, 64),
@@ -91,7 +91,6 @@ class RunConfig:
     pulse: PulseSpec
     shot: ShotConfig
     n_cycles: int
-    seed: int
     n_atoms: int
     checkpoint_interval: int
     window_fraction: float
@@ -127,21 +126,9 @@ def parse_config(text: str) -> RunConfig:
     vals = {k: default for k, (_, default) in _SCHEMA.items()}
     vals.update(given)
 
-    if vals["medium.tau_sp_ns"] is not None and vals["medium.gamma_MHz"] is not None:
-        raise ConfigError(
-            "give either medium.tau_sp_ns or medium.gamma_MHz, not both"
-        )
-    if vals["medium.gamma_MHz"] is not None:
-        gamma = _TWO_PI * vals["medium.gamma_MHz"] * 1e6
-    else:
-        tau_sp = vals["medium.tau_sp_ns"] if vals["medium.tau_sp_ns"] is not None else 26.0
-        if tau_sp <= 0.0:
-            raise ConfigError("medium.tau_sp_ns must be positive")
-        gamma = 1.0 / (tau_sp * 1e-9)
-
     medium = MediumSpec(
         od=vals["medium.od"],
-        gamma=gamma,
+        gamma=_TWO_PI * vals["medium.gamma_MHz"] * 1e6,
         probe_detuning=_TWO_PI * vals["medium.probe_detuning_MHz"] * 1e6,
         sigma0_over_area=vals["medium.sigma0_over_area"],
         n_slabs=vals["medium.n_slabs"],
@@ -168,31 +155,23 @@ def parse_config(text: str) -> RunConfig:
     if vals["campaign.n_cycles"] < 2:
         # the click/no-click covariance needs two cycles
         raise ConfigError("campaign.n_cycles must be at least 2")
-    if vals["campaign.seed"] < 0:
-        raise ConfigError("campaign.seed must be non-negative")
     if vals["oracle.n_atoms"] < 1:
         raise ConfigError("oracle.n_atoms must be at least 1")
     if vals["oracle.checkpoint_interval"] < 1:
         raise ConfigError("oracle.checkpoint_interval must be at least 1")
     if not 0.0 <= vals["analysis.window_fraction"] < 1.0:
         raise ConfigError("analysis.window_fraction must lie in [0, 1)")
-
-    # the linewidth may be given either way: hash it once, as resolved
-    hashed = dict(vals)
-    del hashed["medium.tau_sp_ns"]
-    hashed["medium.gamma_MHz"] = gamma / (_TWO_PI * 1e6)
     return RunConfig(
         medium=medium,
         pulse=pulse,
         shot=shot,
         n_cycles=vals["campaign.n_cycles"],
-        seed=vals["campaign.seed"],
         n_atoms=vals["oracle.n_atoms"],
         checkpoint_interval=vals["oracle.checkpoint_interval"],
         window_fraction=vals["analysis.window_fraction"],
         sweep_sigmas=vals["sweep.sigma_rms_ns"],
         sweep_ods=vals["sweep.od"],
-        config_hash=_hash_values(hashed),
+        config_hash=_hash_values(vals),
     )
 
 

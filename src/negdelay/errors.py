@@ -26,4 +26,5 @@ class AnalysisError(NegdelayError):
 
 
 class PostSelectionError(AnalysisError):
-    """Post-selection is degenerate (final-state overlap below threshold)."""
+    """Post-selection is degenerate: a cycle's click or no-click class is
+    empty, or fewer than two cycles are left to estimate the covariance."""

@@ -112,7 +112,10 @@ class ShotConfig:
 
 @dataclass(frozen=True)
 class CycleData:
-    """One atom cycle of shots, kept as arrays for accumulation."""
+    """One atom cycle of shots, kept as arrays for accumulation.
+
+    The sampler fills in the photon fates; a cycle read back from a shot
+    log carries only its traces and click flags, and None for the fates."""
 
     cycle: int
     traces: np.ndarray  # (shots, n_samples)
@@ -330,7 +333,6 @@ def simulate_cycle(
     cal: DetectionCalibration,
     mode: str = "normal",
     cycle: int = 0,
-    truth: bool = False,
 ) -> CycleData:
     """All shots of one atom cycle, vectorized.
 
@@ -365,17 +367,14 @@ def simulate_cycle(
         traces = _lowpass(traces, config.dt, config.lowpass_cutoff)
 
     bg = u_bg < cal.p_bg
-    clicked = (n_det > 0) | bg
-    if truth:
-        return CycleData(
-            cycle=cycle,
-            traces=traces,
-            clicked=clicked,
-            n_transmitted=n_t,
-            n_scattered=n_s,
-            background_clicked=bg,
-        )
-    return CycleData(cycle=cycle, traces=traces, clicked=clicked)
+    return CycleData(
+        cycle=cycle,
+        traces=traces,
+        clicked=(n_det > 0) | bg,
+        n_transmitted=n_t,
+        n_scattered=n_s,
+        background_clicked=bg,
+    )
 
 
 def _usable_cpus() -> int:
@@ -394,7 +393,6 @@ def run_campaign(
     cal: DetectionCalibration,
     mode: str = "normal",
     jobs: int | None = None,
-    truth: bool = False,
 ) -> Iterator[CycleData]:
     """Cycles [0, n_cycles) in index order, one independent stream each.
 
@@ -412,9 +410,7 @@ def run_campaign(
 
     def one(cycle: int) -> CycleData:
         rng = np.random.default_rng([seed, cycle])
-        return simulate_cycle(
-            rng, shapes, config, cal, mode=mode, cycle=cycle, truth=truth
-        )
+        return simulate_cycle(rng, shapes, config, cal, mode=mode, cycle=cycle)
 
     if jobs <= 1:
         for cycle in range(n_cycles):

@@ -111,7 +111,10 @@ def gaussian_field(pulse: PulseSpec, gamma: float, n: int = 4096) -> SampledSign
         env *= np.exp(-1j * pulse.center_detuning * t)
     peak = np.abs(env).max()
     if abs(env[0]) > EDGE_GUARD * peak or abs(env[-1]) > EDGE_GUARD * peak:
-        raise GridError("pulse does not decay below 1e-8 of peak at grid edges")
+        raise GridError(
+            f"{n}-sample grid is too coarse to sample the pulse: an edge "
+            "sample holds more than 1e-8 of the largest sample"
+        )
     env /= np.sqrt(np.sum(np.abs(env) ** 2) * dt)
     return SampledSignal(dt=dt, t0=t_lo, samples=env)
 

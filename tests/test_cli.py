@@ -18,7 +18,6 @@ from negdelay.montecarlo import calibrate_detection, derive_shapes, run_campaign
 TINY = (
     "shot.shots_per_cycle = 60\n"
     "campaign.n_cycles = 6\n"
-    "campaign.seed = 3\n"
 )
 
 
@@ -30,7 +29,7 @@ def _cfg(tmp_path, text="", name="run.cfg"):
 
 def _check_header(path, hash_=None):
     lines = path.read_text().splitlines()
-    assert lines[0] == f"# negdelay schema=2 version={__version__}"
+    assert lines[0] == f"# negdelay schema=3 version={__version__}"
     assert lines[1].startswith("# config_hash=")
     if hash_ is not None:
         assert f"config_hash={hash_}" in lines[1]
@@ -42,7 +41,7 @@ def test_theory_outputs_and_determinism(tmp_path):
     assert main(["theory", "--out", str(a)]) == 0
     assert main(["theory", "--out", str(b)]) == 0
     for name in ("phi0_theory.csv", "phiT_theory.csv", "summary.csv"):
-        lines = _check_header(a / name, hash_="8df73f97d89c")
+        lines = _check_header(a / name, hash_="e1b41cb44c61")
         assert (a / name).read_bytes() == (b / name).read_bytes()
     header = (a / "summary.csv").read_text().splitlines()[2]
     assert header == "tau0_ns,tauT_ns,ratio,method"
@@ -114,9 +113,7 @@ def _reference_log(cfg, seed, truth):
         run.shot.background_click_fraction,
     )
     cycles = list(
-        run_campaign(
-            seed, run.n_cycles, shapes, run.shot, cal, jobs=1, truth=truth
-        )
+        run_campaign(seed, run.n_cycles, shapes, run.shot, cal, jobs=1)
     )
     names = ["traces", "clicked"]
     if truth:
@@ -226,8 +223,10 @@ def test_damaged_trace_data_exits_2(tmp_path, capsys):
         lambda a: {"traces": a["traces"][:, :, :-1]},
         # header agrees with clicked.npy, not with shot.shots_per_cycle
         lambda a: {"traces": a["traces"][:, :-1], "clicked": a["clicked"][:, :-1]},
+        # 0/1 click flags stored as integers are refused, not cast
+        lambda a: {"clicked": a["clicked"].astype(np.int8)},
     ],
-    ids=["cycles", "samples", "shots"],
+    ids=["cycles", "samples", "shots", "clicked-int8"],
 )
 def test_trace_shape_mismatch_exits_2(tmp_path, capsys, cut):
     cfg = _cfg(tmp_path, TINY)
@@ -345,8 +344,8 @@ def test_analyze_rejects_foreign_log(tmp_path, capsys):
 
 
 def test_analyze_rejects_old_schema_log(tmp_path, capsys):
-    """A schema-1 log hashed its config another way: refused before any
-    output is written, even where everything else matches."""
+    """A log of an older schema hashed its config another way: refused
+    before any output is written, even where everything else matches."""
     cfg = _cfg(tmp_path, TINY)
     sim = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
@@ -354,7 +353,7 @@ def test_analyze_rejects_old_schema_log(tmp_path, capsys):
     with zipfile.ZipFile(log) as zf:
         members = {name: zf.read(name) for name in zf.namelist()}
     meta = json.loads(members["meta.json"])
-    meta["schema"] = 1
+    meta["schema"] = SCHEMA_VERSION - 1
     members["meta.json"] = json.dumps(meta)
     with zipfile.ZipFile(log, "w") as zf:
         for name, blob in members.items():
@@ -398,6 +397,26 @@ def test_campaign_flags_only_on_campaign_commands(tmp_path, capsys, argv):
         main(argv + ["--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, msg",
+    [
+        (["simulate", "--seed", "-1"], "--seed: must be at least 0"),
+        (["nullcheck", "--kind", "bypass_atoms", "--seed", "-1"], "at least 0"),
+        (["simulate", "--jobs", "0"], "--jobs: must be at least 1"),
+        (["simulate", "--jobs", "two"], "--jobs: invalid int value: 'two'"),
+    ],
+    ids=["simulate-seed", "nullcheck-seed", "jobs-zero", "jobs-word"],
+)
+def test_bad_campaign_flag_exits_2(tmp_path, capsys, argv, msg):
+    """Flags are checked while parsing, before the output directory exists."""
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nullcheck_rejects_normal_kind(tmp_path):
@@ -445,6 +464,9 @@ def test_sweep_transparent_medium_reports_na(tmp_path):
     [
         ("foo = 1", "unknown key"),
         ("medium.od = -1", "optical depth"),
+        ("medium.tau_sp_ns = 26", "unknown key"),
+        ("campaign.seed = 3", "unknown key"),
+        ("medium.gamma_MHz = 0", "linewidth"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, text, msg):
@@ -452,6 +474,7 @@ def test_bad_config_exits_2(tmp_path, capsys, text, msg):
     rc = main(["theory", "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == 2
     assert msg in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_convergence_failure_exits_3(tmp_path, capsys):

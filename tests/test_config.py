@@ -3,6 +3,7 @@ the hash of the parsed values."""
 
 import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +37,7 @@ def test_defaults_mirror_standing_constants():
     assert not s.lowpass_enabled
     assert s.shots_per_cycle == 1500
     assert s.pulse_center == pytest.approx(260e-9, rel=1e-15)
-    assert run.n_cycles == 100 and run.seed == 0
+    assert run.n_cycles == 100
     assert run.n_atoms == 64 and run.checkpoint_interval == 64
     assert run.window_fraction == 0.3
     assert run.sweep_sigmas == (10.0, 18.0, 27.0, 36.0)
@@ -44,16 +45,14 @@ def test_defaults_mirror_standing_constants():
 
 
 def test_default_hash_is_frozen():
-    assert default_config().config_hash == "8df73f97d89c"
+    assert default_config().config_hash == "e1b41cb44c61"
 
 
 def test_hash_preimage_is_the_parsed_values():
-    """One sorted ``key = repr(value)`` line per key, defaults filled in;
-    the linewidth appears once, as the resolved gamma_MHz."""
+    """One sorted ``key = repr(value)`` line per key, defaults filled in."""
     text = """\
 analysis.window_fraction = 0.3
 campaign.n_cycles = 100
-campaign.seed = 5
 medium.gamma_MHz = 6.121343965072898
 medium.n_slabs = 128
 medium.od = 3.0
@@ -79,14 +78,13 @@ shot.wobble_phase_rad = 0.0
 sweep.od = 2.0,4.0
 sweep.sigma_rms_ns = 10.0,18.0,27.0,36.0
 """
-    run = parse_config("medium.od = 3\ncampaign.seed = 5\nmedium.tau_sp_ns = 26")
+    run = parse_config("medium.od = 3")
     assert hashlib.sha256(text.encode()).hexdigest()[:12] == run.config_hash
 
 
 #: per key: a value written as the default resolves, then another valid one
 KEY_VALUES = {
     "medium.od": ("4", "3.5"),
-    "medium.tau_sp_ns": ("26", "13"),
     "medium.gamma_MHz": ("6.121343965072898", "6.07"),  # exactly 1 / 26 ns
     "medium.probe_detuning_MHz": ("-20", "-17.3"),
     "medium.sigma0_over_area": ("3.540632886280689e-4", "3e-4"),
@@ -107,7 +105,6 @@ KEY_VALUES = {
     "shot.wobble_frequency_MHz": ("2", "3"),
     "shot.wobble_phase_rad": ("0", "1"),
     "campaign.n_cycles": ("100", "6"),
-    "campaign.seed": ("0", "5"),
     "oracle.n_atoms": ("64", "128"),
     "oracle.checkpoint_interval": ("64", "32"),
     "analysis.window_fraction": ("0.3", "0.5"),
@@ -138,13 +135,11 @@ def test_empty_file_is_the_default():
     assert parse_config("").config_hash == default_config().config_hash
 
 
-def test_lifetime_and_linewidth_are_exclusive():
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config("medium.tau_sp_ns = 26\nmedium.gamma_MHz = 6.1")
+def test_linewidth_is_gamma_MHz():
+    """The default is exactly a 26 ns lifetime."""
+    assert default_config().medium.gamma == 1.0 / 26e-9
     run = parse_config("medium.gamma_MHz = 6.0")
     assert run.medium.gamma == pytest.approx(TWO_PI * 6e6, rel=1e-15)
-    run = parse_config("medium.tau_sp_ns = 13")
-    assert run.medium.gamma == pytest.approx(1.0 / 13e-9, rel=1e-15)
 
 
 def test_comments_and_blank_lines():
@@ -166,6 +161,9 @@ def test_comments_and_blank_lines():
         ("pulse.mean_photons = 50", "line 1: unknown key"),
         ("medium.atom_frequency_THz = 384.2302", "line 1: unknown key"),
         ("shot.window_ns = 576", "line 1: unknown key"),
+        # the linewidth is medium.gamma_MHz, the seed the --seed flag
+        ("medium.tau_sp_ns = 26", "line 1: unknown key"),
+        ("campaign.seed = 3", "line 1: unknown key"),
     ],
 )
 def test_parse_diagnostics(text, msg):
@@ -179,12 +177,10 @@ def test_parse_diagnostics(text, msg):
         ("campaign.n_cycles = -1", "at least 2"),
         ("campaign.n_cycles = 0", "at least 2"),
         ("campaign.n_cycles = 1", "at least 2"),
-        ("campaign.seed = -1", "non-negative"),
         ("oracle.n_atoms = 0", "at least 1"),
         ("oracle.checkpoint_interval = 0", "at least 1"),
         ("analysis.window_fraction = 1.0", "lie in"),
-        ("medium.tau_sp_ns = 0", "positive"),
-        ("medium.tau_sp_ns = -26", "positive"),
+        ("medium.gamma_MHz = 0", "linewidth must be > 0"),
     ],
 )
 def test_value_validation(text, msg):
@@ -218,3 +214,13 @@ def test_load_config(tmp_path):
     assert run.medium.od == 2.0 and run.n_cycles == 7
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.cfg")
+
+
+def test_readme_example_parses():
+    """The example under "### Configuration" in README.md names only
+    live keys."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    example = section.split("```text\n", 1)[1].split("```", 1)[0]
+    run = parse_config(example)
+    assert run.n_cycles == 400 and run.sweep_ods == (3.0,)

@@ -3,13 +3,21 @@ fields that were removed from the package stay removed."""
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import negdelay
 from negdelay.analysis import IntegralResult
+from negdelay.config import RunConfig
 from negdelay.excitation import ExcitationTrace
 from negdelay.medium import MediumSpec
-from negdelay.montecarlo import DetectionCalibration, PerPhotonShapes, ShotConfig
+from negdelay.montecarlo import (
+    DetectionCalibration,
+    PerPhotonShapes,
+    ShotConfig,
+    run_campaign,
+    simulate_cycle,
+)
 from negdelay.oracle import CollisionModel
 from negdelay.pulse import PulseSpec
 
@@ -50,6 +58,7 @@ REMOVED_FIELDS = {
     IntegralResult: ("window", "jacobian"),
     ExcitationTrace: ("axis", "t0"),
     CollisionModel: ("gamma_forward",),
+    RunConfig: ("seed",),
 }
 
 
@@ -66,6 +75,9 @@ def test_all_resolves_and_removed_names_stay_gone():
         fields = {f.name for f in dataclasses.fields(cls)}
         for name in names:
             assert name not in fields and not hasattr(cls, name), (cls, name)
+    # the sampler always returns photon fates; the log writer picks
+    for fn in (simulate_cycle, run_campaign):
+        assert "truth" not in inspect.signature(fn).parameters, fn
     # config's key table is the one place that knows the default shot
     assert all(
         f.default is dataclasses.MISSING for f in dataclasses.fields(ShotConfig)

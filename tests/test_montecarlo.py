@@ -143,7 +143,7 @@ def test_click_rate_hits_target(run, shapes, cal):
 
 def test_background_share_of_clicks(run, shapes, cal):
     clicked = bg = 0
-    for cyc in run_campaign(3, 200, shapes, run.shot, cal, truth=True):
+    for cyc in run_campaign(3, 200, shapes, run.shot, cal):
         clicked += int(cyc.clicked.sum())
         bg += int(cyc.background_clicked.sum())
     assert abs(bg / clicked - run.shot.background_click_fraction) < 0.01
@@ -176,9 +176,7 @@ def test_null_clicks_at_full_transmission(run, shapes, cal, kind):
 
 def test_no_signal_clicks_are_background_only(run, shapes, cal):
     clicked = total = transmitted = 0
-    for cyc in run_campaign(
-        19, 100, shapes, run.shot, cal, mode="no_signal", truth=True
-    ):
+    for cyc in run_campaign(19, 100, shapes, run.shot, cal, mode="no_signal"):
         clicked += int(cyc.clicked.sum())
         total += cyc.clicked.size
         transmitted += int(cyc.n_transmitted.sum())
@@ -204,9 +202,7 @@ def test_draw_order_contract(run, shapes, cal):
     """Frozen digest over the integer outcomes of one cycle. Any change
     to the draw order or distribution parameters will move it."""
     rng = np.random.default_rng([7, 0])
-    cyc = simulate_cycle(
-        rng, shapes, replace(run.shot, shots_per_cycle=64), cal, truth=True
-    )
+    cyc = simulate_cycle(rng, shapes, replace(run.shot, shots_per_cycle=64), cal)
     h = hashlib.sha256()
     for arr in (
         cyc.clicked,
@@ -229,11 +225,7 @@ def test_thread_fanout_is_invisible(run, shapes, cal):
     config = replace(run.shot, shots_per_cycle=40)
     for mode in ("normal", "bypass_atoms"):
         serial, *threaded = (
-            list(
-                run_campaign(
-                    2, 21, shapes, config, cal, mode=mode, jobs=jobs, truth=True
-                )
-            )
+            list(run_campaign(2, 21, shapes, config, cal, mode=mode, jobs=jobs))
             for jobs in (1, None, 3)
         )
         assert [c.cycle for c in serial] == list(range(21))
@@ -298,8 +290,7 @@ def test_wobble_ripple_is_exact(run, shapes, cal):
         shots_per_cycle=32,
     )
     cyc = simulate_cycle(
-        np.random.default_rng(99), shapes, config, cal,
-        mode="bypass_atoms", truth=True,
+        np.random.default_rng(99), shapes, config, cal, mode="bypass_atoms"
     )
     n_ph = cyc.n_transmitted + cyc.n_scattered
     ripple = config.wobble_amplitude * np.sin(
