@@ -50,6 +50,8 @@ _TRUTH_ARRAYS = ("n_transmitted", "n_scattered", "background_clicked")
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # the bulk of every CSV: columns as .tolist()
+        return float.__repr__(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -67,7 +69,7 @@ def _write_csv(path: Path, run: RunConfig, seed, columns, rows) -> None:
         ",".join(columns),
     ]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -236,14 +238,20 @@ def _cmd_theory(run: RunConfig, out: Path, args) -> int:
         run,
         None,
         ("t_ns", "phi_urad"),
-        zip(sig.axis() * 1e9, phi0_trace(sig, run.medium) * 1e6),
+        zip(
+            (sig.axis() * 1e9).tolist(),
+            (phi0_trace(sig, run.medium) * 1e6).tolist(),
+        ),
     )
     _write_csv(
         out / "phiT_theory.csv",
         run,
         None,
         ("t_ns", "phi_urad"),
-        zip(weak.axis() * 1e9, conversion_factor(run.medium) * weak.weak * 1e6),
+        zip(
+            (weak.axis() * 1e9).tolist(),
+            (conversion_factor(run.medium) * weak.weak * 1e6).tolist(),
+        ),
     )
     _write_csv(
         out / "summary.csv",
@@ -282,7 +290,11 @@ def _analyze_cycles(
         run,
         seed,
         ("t_ns", "phi_urad", "sigma_urad"),
-        zip(centers, result.phi_T * 1e6, np.sqrt(np.diag(result.cov)) * 1e6),
+        zip(
+            centers.tolist(),
+            (result.phi_T * 1e6).tolist(),
+            (np.sqrt(np.diag(result.cov)) * 1e6).tolist(),
+        ),
     )
     columns = [
         "ratio",

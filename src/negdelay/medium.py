@@ -27,6 +27,7 @@ module are angular (rad/s); times are seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ class MediumSpec:
     """Static parameters of the atomic cloud and probe geometry.
 
     od: resonant optical depth, >= 0
-    gamma: natural linewidth, angular rad/s, > 0
+    gamma: natural linewidth, angular rad/s, finite and > 0
     probe_detuning: probe detuning Delta from atomic resonance, rad/s
     sigma0_over_area: resonant cross-section over probe area, in (0, 1]
     n_slabs: slab count for the excitation model, >= 1
@@ -64,6 +65,8 @@ class MediumSpec:
             raise ConfigError(f"optical depth must be >= 0, got {self.od}")
         if not self.gamma > 0.0:
             raise ConfigError(f"linewidth must be > 0, got {self.gamma}")
+        if not math.isfinite(self.gamma):
+            raise ConfigError(f"linewidth must be finite, got {self.gamma}")
         if not 0.0 < self.sigma0_over_area <= 1.0:
             raise ConfigError(
                 "sigma0_over_area must lie in (0, 1], got "

@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .excitation import phi0_trace
 from .medium import MediumSpec, conversion_factor
 from .oracle import max_step, weak_excitation_trace
@@ -183,10 +183,28 @@ def bin_average(
     return np.diff(at_edges) / widths
 
 
+#: most samples ``fine_signal`` may ask for: 8x the largest grid that the
+#: tests, the defaults and the sweeps use (32768, a 700 ns pulse at a 26 ns
+#: lifetime). The collision model pads a grid by at most 48/15 of itself,
+#: so one of its frame arrays stays within 2**21 points (32 MB).
+MAX_GRID_POINTS = 1 << 18
+
+
 def fine_signal(medium: MediumSpec, pulse: PulseSpec):
-    """Pulse field on a grid fine enough for the collision model."""
+    """Pulse field on a grid fine enough for the collision model.
+
+    Raises GridError, before allocating, when that grid would exceed
+    MAX_GRID_POINTS samples.
+    """
     step = max_step(medium, pulse.sigma_rms)
     span = 2.0 * LEAD_SIGMAS * pulse.sigma_rms + TAIL_LIFETIMES / medium.gamma
+    # multiplied, not divided: step underflows to 0 at extreme inputs
+    if not span <= MAX_GRID_POINTS * step:
+        raise GridError(
+            f"linewidth {medium.gamma:.3g} rad/s with sigma_rms "
+            f"{pulse.sigma_rms:.3g} s needs more than {MAX_GRID_POINTS} "
+            "grid samples"
+        )
     n = max(4096, 1 << math.ceil(math.log2(span / step)))
     return gaussian_field(pulse, medium.gamma, n=n)
 
@@ -346,13 +364,15 @@ def simulate_cycle(
     n_t = rng.binomial(n_ph, tbar)
     n_det = rng.binomial(n_t, eta)
     u_bg = rng.random(shots)
-    noise = rng.standard_normal((shots, config.n_samples))
 
     n_s = n_ph - n_t
     # same operations in the same order as n_t phi_T1 + n_s phi_S1 +
-    # sigma noise, accumulated in place
+    # sigma noise, accumulated in place. The noise matrix, the last draw,
+    # is drawn once the photon terms are summed, so at most two
+    # cycle-sized arrays are alive at once.
     traces = np.multiply.outer(n_t, eff.phi_T1)
     traces += np.multiply.outer(n_s, eff.phi_S1)
+    noise = rng.standard_normal((shots, config.n_samples))
     noise *= config.phase_noise_rms
     traces += noise
     if config.wobble_amplitude != 0.0:

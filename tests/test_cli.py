@@ -302,13 +302,14 @@ def test_shot_log_memory_is_bounded(tmp_path, monkeypatch):
                 ]
             ),
         )
-    # Drawing a cycle takes under four cycles' traces (noise, traces, one
-    # outer product and numpy's casting buffers) while the writer still
-    # holds the cycle before; the click flags are held as rows, then
-    # stacked, saved and copied. Checked at 100 cycles, after the first
-    # campaign has imported what it needs.
+    # Drawing a cycle holds two cycle-sized arrays (the traces with the
+    # scattered term, then with the noise) plus numpy's buffers and the
+    # per-shot vectors, under half a cycle, while the writer still holds
+    # the cycle before; the click flags are held as rows, then stacked,
+    # saved and copied. Checked at 100 cycles, after the first campaign
+    # has imported what it needs.
     shot = default_config().shot
-    bound = 5 * 8 * shot.shots_per_cycle * shot.n_samples
+    bound = 3.5 * 8 * shot.shots_per_cycle * shot.n_samples
     bound += 4 * 100 * shot.shots_per_cycle
     assert peaks[100][0] <= bound, ("simulate", peaks[100][0], bound)
     assert peaks[100][1] <= 1.5 * peaks[10][1], ("analyze", peaks)
@@ -475,6 +476,27 @@ def test_bad_config_exits_2(tmp_path, capsys, text, msg):
     assert rc == 2
     assert msg in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "gamma_mhz, msg",
+    [
+        ("1e-12", "grid samples"),
+        ("inf", "must be finite"),
+        ("1e305", "must be finite"),
+    ],
+)
+def test_unbounded_linewidth_exits_2(tmp_path, capsys, gamma_mhz, msg):
+    """A linewidth whose grid would not fit (1e-12 MHz asked numpy for
+    64 PiB) or that is not finite (1e305 MHz overflows to inf rad/s)
+    exits 2 with a message, before any allocation or output."""
+    cfg = _cfg(tmp_path, f"medium.gamma_MHz = {gamma_mhz}\n")
+    out = tmp_path / "x"
+    assert main(["theory", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: linewidth") and msg in err
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_convergence_failure_exits_3(tmp_path, capsys):

@@ -134,6 +134,7 @@ def test_kramers_kronig_consistency():
         (dict(od=float("nan")), "optical depth"),
         (dict(gamma=float("nan")), "linewidth"),
         (dict(n_slabs=0), "n_slabs"),
+        (dict(gamma=float("inf")), "linewidth must be finite"),
     ],
 )
 def test_medium_spec_validation(kw, msg):

@@ -4,6 +4,7 @@ draw-order reproducibility and the statistical closure of the generator."""
 import hashlib
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from negdelay.analysis import (
     ratio_estimate,
 )
 from negdelay.config import default_config
-from negdelay.errors import ConfigError
+from negdelay.errors import ConfigError, GridError
 from negdelay.montecarlo import (
     DetectionCalibration,
     PerPhotonShapes,
@@ -239,6 +240,24 @@ def test_thread_fanout_is_invisible(run, shapes, cal):
                 assert np.array_equal(
                     a.background_clicked, b.background_clicked
                 )
+
+
+def test_cycle_holds_two_cycle_sized_arrays(run, shapes, cal):
+    """A default cycle holds at most two cycle-sized arrays at once: the
+    scattered term is summed into the traces before the noise matrix is
+    drawn. numpy's broadcast buffers and the per-shot vectors add under
+    half a cycle's traces."""
+    simulate_cycle(np.random.default_rng([7, 0]), shapes, run.shot, cal)
+    rng = np.random.default_rng([7, 1])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cyc = simulate_cycle(rng, shapes, run.shot, cal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cyc.traces.shape == (run.shot.shots_per_cycle, run.shot.n_samples)
+    assert peak <= 2.5 * cyc.traces.nbytes, (peak, cyc.traces.nbytes)
 
 
 def test_threaded_campaign_is_lazy(run, shapes, cal, monkeypatch):
@@ -464,3 +483,20 @@ def test_fine_signal_grid_choices(run):
         sig = fine_signal(run.medium, PulseSpec(sigma_rms=sigma))
         assert sig.n == n
         assert sig.dt <= max_step(run.medium, sigma)
+
+
+def test_fine_signal_grid_ceiling(run, monkeypatch):
+    """The ceiling is checked before any sample is allocated: a grid just
+    within it is built, one just past it and the unbounded ones at extreme
+    linewidths are refused."""
+    assert montecarlo.MAX_GRID_POINTS >= 8 * 32768
+    # 700 ns needs 32768 samples: refused under a 16384 ceiling
+    monkeypatch.setattr(montecarlo, "MAX_GRID_POINTS", 32768)
+    assert fine_signal(run.medium, PulseSpec(sigma_rms=700e-9)).n == 32768
+    monkeypatch.setattr(montecarlo, "MAX_GRID_POINTS", 16384)
+    with pytest.raises(GridError, match="linewidth"):
+        fine_signal(run.medium, PulseSpec(sigma_rms=700e-9))
+    monkeypatch.undo()
+    for gamma in (1e-5, 1e300):
+        with pytest.raises(GridError, match="linewidth"):
+            fine_signal(replace(run.medium, gamma=gamma), run.pulse)

@@ -1,6 +1,7 @@
 """Discrete-emitter chain: calibration exactness, agreement with the
-spectral route, conservation, grid invariances, and parity of the FFT
-cascade with a bin-by-bin step loop."""
+spectral route, conservation, grid invariances, parity of the FFT
+cascade with a bin-by-bin step loop, and bitwise parity of its two-row
+inverse transform with one single-row transform per direction."""
 
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from negdelay.oracle import (
     MAX_OD_PER_ATOM,
     STEP_LIFETIME_FRACTION,
     STEP_SIGMA_FRACTION,
+    _frame_length,
     build_model,
     calibrate_rotation,
     max_step,
@@ -220,3 +222,80 @@ def test_fft_cascade_matches_step_loop(run, sigma_ns, od):
     assert tr.transmission == pytest.approx(transmission, rel=rtol)
     tau = np.trapezoid(weak, dx=sig.dt)
     assert tr.tau_transmitted() == pytest.approx(tau, rel=rtol)
+
+
+def _single_row_trace(sig, medium, n_atoms=64):
+    """Reference FFT cascade with one single-row inverse FFT per emitter
+    and direction: the same spectra and operations as
+    weak_excitation_trace, which transforms both directions as the two
+    rows of one array.
+
+    Returns (W, N_e, T) on the same grid as weak_excitation_trace."""
+    model = build_model(medium, sig.dt, n_atoms=n_atoms)
+    c = np.cos(model.theta)
+    s = np.sin(model.theta) * np.exp(-model.gamma_side * model.dt / 4.0)
+    p = c * np.exp(-model.gamma_side * model.dt / 2.0)
+    q = -1j * s
+
+    n = sig.n
+    size = _frame_length(n, medium.gamma, sig.dt)
+    h = np.arange(size) * (-2j * np.pi / size)
+    np.exp(h, out=h)
+    fb = 1.0 / (1.0 - p * h)
+    h *= fb
+    fb *= np.conj(q)
+    buf = np.fft.fft(sig.samples, size)
+    buf *= np.sqrt(sig.dt)
+    fa = q * h * buf
+    h *= q * q
+    h += c
+
+    for _ in range(n_atoms):
+        buf *= h
+    np.fft.ifft(buf, out=buf)
+    dnorm = float(np.vdot(buf[:n], buf[:n]).real)
+    transmission = dnorm / (sig.dt * float(np.vdot(sig.samples, sig.samples).real))
+    buf[:n] = buf[n - 1 :: -1]
+    buf[n:] = 0.0
+    fb *= np.fft.fft(buf, out=buf)
+    for _ in range(n_atoms - 1):
+        fb *= h
+
+    ne = np.zeros(n + 1)
+    weak = np.zeros(n + 1)
+    state = np.empty(n, np.complex128)
+    for _ in range(n_atoms):
+        np.fft.ifft(fa, out=buf)
+        np.conjugate(buf[1 : n + 1], out=state)
+        ne[1:] += state.real**2 + state.imag**2
+        np.fft.ifft(fb, out=buf)
+        weak[1:n] += (buf[n - 2 :: -1] * state[:-1]).real
+        fa *= h
+        fb /= h
+    weak /= dnorm
+    return weak, ne, transmission
+
+
+@pytest.mark.parametrize(
+    "sigma_ns, od, n_atoms, grid",
+    [
+        (36.0, 0.25, 1, 4096),
+        (36.0, 1.75, 7, 4096),
+        (36.0, 4.0, 64, 4096),
+        (10.0, 4.0, 64, 4096),
+        (150.0, 4.0, 64, 8192),
+        (300.0, 4.0, 64, 16384),
+        (36.0, 0.0, 64, 4096),
+    ],
+)
+def test_two_row_transform_is_bitwise_single_row(
+    run, sigma_ns, od, n_atoms, grid
+):
+    m = replace(run.medium, od=od)
+    sig = fine_signal(m, PulseSpec(sigma_rms=sigma_ns * 1e-9))
+    assert sig.n == grid
+    tr = weak_excitation_trace(sig, m, n_atoms=n_atoms)
+    weak, population, transmission = _single_row_trace(sig, m, n_atoms)
+    assert np.array_equal(tr.weak, weak)
+    assert np.array_equal(tr.population, population)
+    assert tr.transmission == transmission
