@@ -140,6 +140,12 @@ class Accumulator:
     def merge(self, other: "Accumulator") -> None:
         if other.n_samples != self.n_samples:
             raise AnalysisError("cannot merge accumulators of different widths")
+        if (self.differences is None) != (other.differences is None):
+            # the kept rows would no longer be the merged cycles
+            raise AnalysisError(
+                "cannot merge an accumulator that keeps differences with "
+                "one that does not"
+            )
         self.n_cycles += other.n_cycles
         self.n_click += other.n_click
         self.n_noclick += other.n_noclick
@@ -147,7 +153,7 @@ class Accumulator:
         self.sum_outer += other.sum_outer
         self.sum_mean_c += other.sum_mean_c
         self.sum_mean_nc += other.sum_mean_nc
-        if self.differences is not None and other.differences is not None:
+        if self.differences is not None:
             self.differences.extend(other.differences)
 
     def result(self) -> PostSelectedResult:
@@ -368,8 +374,9 @@ def time_align(
     return shift, float(np.hypot(fe.center_err, ft.center_err))
 
 
-#: resamples gathered per block by bootstrap_sigma
-_BOOTSTRAP_BLOCK = 1024
+#: bytes of the index and gathered-value matrices bootstrap_sigma holds
+#: at once (8 B each per element), whatever the cycle and resample counts
+_GATHER_BYTES = 1 << 20
 
 
 def bootstrap_sigma(
@@ -383,11 +390,18 @@ def bootstrap_sigma(
 
     Resamples cycles with replacement; because the integral is linear,
     each resample reduces to re-averaging the per-cycle windowed
-    integrals.
+    integrals. Beyond its input and the per-cycle and per-resample
+    vectors, memory stays within ``_GATHER_BYTES`` (one resample row
+    past 65,536 cycles).
     """
     d = np.asarray(differences, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] < 2:
         raise AnalysisError("need a (cycles, samples) matrix of differences")
+    if n_resamples < 2:
+        raise AnalysisError(
+            f"need at least two resamples for a spread, got {n_resamples}"
+        )
+    n = d.shape[0]
     lo, hi = window
     _, jac = integrate_trapz(d[0], window, dt)
     per_cycle = d[:, lo : hi + 1] @ jac[lo : hi + 1]
@@ -395,9 +409,10 @@ def bootstrap_sigma(
     # draw and gather the resampled rows a block at a time: the generator
     # continues one stream across calls, so the indices and each row's
     # mean are exactly those of one (n_resamples, cycles) draw
+    block = max(1, _GATHER_BYTES // (16 * n))
     means = np.empty(n_resamples)
-    for start in range(0, n_resamples, _BOOTSTRAP_BLOCK):
-        rows = min(_BOOTSTRAP_BLOCK, n_resamples - start)
-        idx = rng.integers(0, d.shape[0], size=(rows, d.shape[0]))
+    for start in range(0, n_resamples, block):
+        rows = min(block, n_resamples - start)
+        idx = rng.integers(0, n, size=(rows, n))
         means[start : start + rows] = per_cycle[idx].mean(axis=1)
     return float(means.std(ddof=1))

@@ -334,14 +334,14 @@ def _effective(mode: str, shapes, cal, config):
     raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def _lowpass(traces: np.ndarray, dt: float, cutoff: float) -> np.ndarray:
+def _lowpass(traces: np.ndarray, dt: float, cutoff: float) -> None:
+    """One-pole low-pass along each shot, in place: column j is read
+    before it is overwritten with the filtered value."""
     a = math.exp(-2.0 * math.pi * cutoff * dt)
-    out = np.empty_like(traces)
     acc = np.zeros(traces.shape[0])
     for j in range(traces.shape[1]):
         acc = a * acc + (1.0 - a) * traces[:, j]
-        out[:, j] = acc
-    return out
+        traces[:, j] = acc
 
 
 def simulate_cycle(
@@ -367,14 +367,16 @@ def simulate_cycle(
 
     n_s = n_ph - n_t
     # same operations in the same order as n_t phi_T1 + n_s phi_S1 +
-    # sigma noise, accumulated in place. The noise matrix, the last draw,
-    # is drawn once the photon terms are summed, so at most two
-    # cycle-sized arrays are alive at once.
+    # sigma noise (+ ripple), accumulated in place. One work array holds
+    # each term in turn: the scattered term, then the noise matrix (the
+    # last draw, drawn into it), then the ripple, so a cycle holds two
+    # cycle-sized arrays.
     traces = np.multiply.outer(n_t, eff.phi_T1)
-    traces += np.multiply.outer(n_s, eff.phi_S1)
-    noise = rng.standard_normal((shots, config.n_samples))
-    noise *= config.phase_noise_rms
-    traces += noise
+    work = np.multiply.outer(n_s, eff.phi_S1)
+    traces += work
+    rng.standard_normal(out=work)
+    work *= config.phase_noise_rms
+    traces += work
     if config.wobble_amplitude != 0.0:
         if config.mean_photons <= 0.0:
             raise ConfigError("wobble injection needs mean_photons > 0")
@@ -382,9 +384,9 @@ def simulate_cycle(
             2.0 * np.pi * config.wobble_frequency * config.sample_times()
             + config.wobble_phase
         )
-        traces += (n_ph / config.mean_photons)[:, None] * ripple[None, :]
+        traces += np.multiply.outer(n_ph / config.mean_photons, ripple, out=work)
     if config.lowpass_enabled:
-        traces = _lowpass(traces, config.dt, config.lowpass_cutoff)
+        _lowpass(traces, config.dt, config.lowpass_cutoff)
 
     bg = u_bg < cal.p_bg
     return CycleData(

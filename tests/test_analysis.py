@@ -1,11 +1,14 @@
 """Post-selection statistics: accumulator algebra, windowed integrals,
 error propagation, fits, alignment and the bootstrap."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from negdelay import analysis
 from negdelay.analysis import (
     Accumulator,
     GaussianFit,
@@ -87,6 +90,34 @@ def test_merge_equals_single_pass():
 def test_merge_width_mismatch():
     with pytest.raises(AnalysisError, match="widths"):
         Accumulator(3).merge(Accumulator(4))
+
+
+@pytest.mark.parametrize(
+    "keeps", [(True, False), (False, True)], ids=["left-keeps", "right-keeps"]
+)
+def test_merge_refuses_mixed_kept_differences(keeps):
+    """Merging would count both sides' cycles but keep one side's rows,
+    so a bootstrap on the result would resample the wrong set."""
+    left, right = (Accumulator(2, keep_differences=k) for k in keeps)
+    left.add_cycle(np.ones((2, 2)), np.array([True, False]))
+    right.add_cycle(np.ones((2, 2)), np.array([True, False]))
+    with pytest.raises(AnalysisError, match="keeps differences"):
+        left.merge(right)
+    assert left.n_cycles == 1
+
+
+def test_merge_extends_kept_differences():
+    d = np.random.default_rng(3).standard_normal((5, 2))
+    cycles = _paired_cycles(list(d))
+    left = Accumulator(2, keep_differences=True)
+    right = Accumulator(2, keep_differences=True)
+    for c in cycles[:2]:
+        left.add_cycle(c.traces, c.clicked)
+    for c in cycles[2:]:
+        right.add_cycle(c.traces, c.clicked)
+    left.merge(right)
+    assert left.n_cycles == len(left.differences) == 5
+    np.testing.assert_array_equal(np.asarray(left.differences), d)
 
 
 def test_empty_class_is_rejected():
@@ -314,6 +345,10 @@ def test_bootstrap_validation():
         bootstrap_sigma(np.ones(5), (0, 2), 1e-9)
     with pytest.raises(AnalysisError, match="matrix"):
         bootstrap_sigma(np.ones((1, 5)), (0, 2), 1e-9)
+    # one resample has no spread (ddof=1 would return nan)
+    for n_resamples in (0, 1, -3):
+        with pytest.raises(AnalysisError, match="two resamples"):
+            bootstrap_sigma(np.ones((4, 5)), (0, 2), 1e-9, n_resamples=n_resamples)
 
 
 def test_bootstrap_tracks_analytic_sigma():
@@ -327,11 +362,21 @@ def test_bootstrap_tracks_analytic_sigma():
     assert abs(boot - analytic) / analytic < 0.1
 
 
-@pytest.mark.parametrize("n_resamples", [1000, 2500])
-def test_bootstrap_blocks_match_one_gather(n_resamples):
-    """The blocked gather gives the bytes of the one-matrix reference,
+@pytest.mark.parametrize(
+    "n_cycles, n_resamples",
+    [
+        pytest.param(400, 1000, id="1000"),
+        pytest.param(400, 2500, id="2500"),
+        # 163 rows of 401 cycles: an odd block size, and a last block of 22
+        pytest.param(401, 1000, id="odd-rows-times-cycles"),
+        # past 65,536 cycles the budget holds less than a row: one per block
+        pytest.param(70_001, 5, id="one-row-per-block"),
+    ],
+)
+def test_bootstrap_blocks_match_one_gather(n_cycles, n_resamples):
+    """The budgeted gather gives the bytes of the one-matrix reference,
     also when the block does not divide the resample count."""
-    d = np.random.default_rng(5).standard_normal((400, 8))
+    d = np.random.default_rng(5).standard_normal((n_cycles, 8))
     window, dt, seed = (2, 6), 1.5, 9
     _, jac = integrate_trapz(d[0], window, dt)
     per_cycle = d[:, 2:7] @ jac[2:7]
@@ -341,3 +386,28 @@ def test_bootstrap_blocks_match_one_gather(n_resamples):
     reference = float(per_cycle[idx].mean(axis=1).std(ddof=1))
     got = bootstrap_sigma(d, window, dt, n_resamples=n_resamples, seed=seed)
     assert got.hex() == reference.hex()
+
+
+def _bootstrap_transient(n_cycles: int, n_resamples: int) -> int:
+    """Peak bytes bootstrap_sigma allocates beyond its input."""
+    d = np.random.default_rng(4).standard_normal((n_cycles, 36))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        bootstrap_sigma(d, (3, 30), 1e-9, n_resamples=n_resamples, seed=2)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_bootstrap_memory_is_a_fixed_budget():
+    """The gathered matrices stay within the byte budget at any cycle
+    count: only the per-cycle and per-resample vectors grow. A gather of
+    fixed row count would grow 20-fold from 1,000 to 20,000 cycles."""
+    n_resamples = 200
+    small, large = (_bootstrap_transient(n, n_resamples) for n in (1000, 20_000))
+    for n, peak in ((1000, small), (20_000, large)):
+        vectors = 8 * (n + n_resamples)
+        assert peak <= analysis._GATHER_BYTES + vectors + (64 << 10), (n, peak)
+    assert large <= 1.25 * small, (small, large)

@@ -242,22 +242,75 @@ def test_thread_fanout_is_invisible(run, shapes, cal):
                 )
 
 
+def _injected(shot):
+    """The default shot config, with a wobble ripple, and low-passed."""
+    return {
+        "default": shot,
+        "wobble": replace(shot, wobble_amplitude=1e-4, wobble_phase=0.3),
+        "lowpass": replace(shot, lowpass_enabled=True),
+    }
+
+
 def test_cycle_holds_two_cycle_sized_arrays(run, shapes, cal):
-    """A default cycle holds at most two cycle-sized arrays at once: the
-    scattered term is summed into the traces before the noise matrix is
-    drawn. numpy's broadcast buffers and the per-shot vectors add under
-    half a cycle's traces."""
-    simulate_cycle(np.random.default_rng([7, 0]), shapes, run.shot, cal)
-    rng = np.random.default_rng([7, 1])
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        cyc = simulate_cycle(rng, shapes, run.shot, cal)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cyc.traces.shape == (run.shot.shots_per_cycle, run.shot.n_samples)
-    assert peak <= 2.5 * cyc.traces.nbytes, (peak, cyc.traces.nbytes)
+    """A cycle holds at most two cycle-sized arrays at once: the traces
+    and one work array that takes the scattered term, the noise matrix
+    and the wobble ripple in turn, while the low-pass filters in place.
+    numpy's broadcast buffers and the per-shot vectors add under half a
+    cycle's traces."""
+    for name, config in _injected(run.shot).items():
+        simulate_cycle(np.random.default_rng([7, 0]), shapes, config, cal)
+        rng = np.random.default_rng([7, 1])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            cyc = simulate_cycle(rng, shapes, config, cal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cyc.traces.shape == (config.shots_per_cycle, config.n_samples)
+        assert peak <= 2.5 * cyc.traces.nbytes, (name, peak, cyc.traces.nbytes)
+
+
+def _fresh_array_traces(rng, shapes, config, cal):
+    """The cycle's traces as separate temporaries: every term, the ripple
+    broadcast and the low-pass output are new arrays."""
+    n_ph = rng.poisson(config.mean_photons, config.shots_per_cycle)
+    n_t = rng.binomial(n_ph, shapes.tbar)
+    rng.binomial(n_t, cal.eta)
+    rng.random(config.shots_per_cycle)
+    n_s = n_ph - n_t
+    traces = np.multiply.outer(n_t, shapes.phi_T1)
+    traces += np.multiply.outer(n_s, shapes.phi_S1)
+    noise = rng.standard_normal((config.shots_per_cycle, config.n_samples))
+    noise *= config.phase_noise_rms
+    traces += noise
+    if config.wobble_amplitude != 0.0:
+        ripple = config.wobble_amplitude * np.sin(
+            2.0 * np.pi * config.wobble_frequency * config.sample_times()
+            + config.wobble_phase
+        )
+        traces += (n_ph / config.mean_photons)[:, None] * ripple[None, :]
+    if config.lowpass_enabled:
+        a = math.exp(-2.0 * math.pi * config.lowpass_cutoff * config.dt)
+        out = np.empty_like(traces)
+        acc = np.zeros(traces.shape[0])
+        for j in range(traces.shape[1]):
+            acc = a * acc + (1.0 - a) * traces[:, j]
+            out[:, j] = acc
+        traces = out
+    return traces
+
+
+def test_work_array_keeps_fresh_array_bytes(run, shapes, cal):
+    """Reusing one work array and filtering in place changes no bit of
+    the traces, with and without the wobble and the low-pass."""
+    configs = _injected(replace(run.shot, shots_per_cycle=200))
+    both = replace(configs["wobble"], lowpass_enabled=True)
+    for name, config in {**configs, "both": both}.items():
+        cyc = simulate_cycle(np.random.default_rng([3, 1]), shapes, config, cal)
+        rng = np.random.default_rng([3, 1])
+        expected = _fresh_array_traces(rng, shapes, config, cal)
+        assert np.array_equal(cyc.traces, expected), name
 
 
 def test_threaded_campaign_is_lazy(run, shapes, cal, monkeypatch):
