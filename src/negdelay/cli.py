@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import zipfile
@@ -22,6 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from . import __version__
 from .analysis import (
@@ -47,6 +49,7 @@ from .oracle import weak_excitation_trace
 __all__ = ["main"]
 
 _TRUTH_ARRAYS = ("n_transmitted", "n_scattered", "background_clicked")
+_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 def _fmt(value) -> str:
@@ -73,8 +76,18 @@ def _write_csv(path: Path, run: RunConfig, seed, columns, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _log_member(name: str) -> zipfile.ZipInfo:
-    return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+def _npy_member(name: str, dtype, shape) -> tuple[bytes, zipfile.ZipInfo]:
+    """The header of a C-order ``.npy`` array and a stored, zero-dated
+    ZipInfo sized for header plus data, so a member streamed into
+    ``open(info, "w")`` gets the local header ``writestr`` would give."""
+    dtype, header = np.dtype(dtype), io.BytesIO()
+    descr = npy.dtype_to_descr(dtype)
+    npy.write_array_header_1_0(
+        header, {"descr": descr, "fortran_order": False, "shape": shape}
+    )
+    info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
+    info.file_size = header.tell() + dtype.itemsize * math.prod(shape)
+    return header.getvalue(), info
 
 
 def _write_log(
@@ -83,22 +96,12 @@ def _write_log(
     """Shot log: a zip of stored .npy members with zeroed timestamps, so
     the same data always produces the same bytes.
 
-    Each cycle's traces go into ``traces.npy`` as the cycle arrives, after
-    a header for the known shape; only the per-shot vectors are held until
-    the end. The click flags are always stored; ``truth`` also stores the
-    photon fates (``_TRUTH_ARRAYS``) that every sampled cycle carries. The
-    log is built under a temporary name and renamed into place only once
-    complete, so a failed campaign leaves no log.
+    Traces are written as each cycle arrives; only the per-shot click
+    flags, and with ``truth`` the photon fates (``_TRUTH_ARRAYS``), are
+    held as rows until the campaign ends. The log is renamed into place
+    only once complete, so a failed campaign leaves no log.
     """
     shape = (run.n_cycles, run.shot.shots_per_cycle, run.shot.n_samples)
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        header, {"descr": "<f8", "fortran_order": False, "shape": shape}
-    )
-    traces = _log_member("traces.npy")
-    # sized up front, so the local header and the zip64 choice match a
-    # member written whole
-    traces.file_size = header.tell() + 8 * int(np.prod(shape))
     per_shot = {
         name: [] for name in ("clicked",) + (_TRUTH_ARRAYS if truth else ())
     }
@@ -113,18 +116,20 @@ def _write_log(
     part = path.with_name(f".{path.name}.part")
     try:
         with zipfile.ZipFile(part, "w") as zf:
-            with zf.open(traces, "w") as fh:
-                fh.write(header.getvalue())
+            header, info = _npy_member("traces.npy", np.float64, shape)
+            with zf.open(info, "w") as fh:
+                fh.write(header)
                 for cycle in cycles:
                     fh.write(np.ascontiguousarray(cycle.traces, np.float64))
                     for name, rows in per_shot.items():
                         rows.append(getattr(cycle, name))
             for name, rows in per_shot.items():
-                buf = io.BytesIO()
-                np.save(buf, np.stack(rows))
-                zf.writestr(_log_member(f"{name}.npy"), buf.getvalue())
+                header, info = _npy_member(f"{name}.npy", rows[0].dtype, shape[:2])
+                with zf.open(info, "w") as fh:
+                    fh.write(header)
+                    fh.writelines(rows)
             zf.writestr(
-                _log_member("meta.json"),
+                zipfile.ZipInfo("meta.json", date_time=_ZIP_EPOCH),
                 json.dumps(meta, sort_keys=True, indent=1),
             )
         os.replace(part, path)
@@ -134,11 +139,8 @@ def _write_log(
 
 @contextmanager
 def _read_log(path: Path, run: RunConfig):
-    """Check a shot log against ``run`` and yield its meta and its cycles.
-
-    The cycles are read one at a time from the stored ``traces.npy``
-    member, so only one cycle's traces are held at once.
-    """
+    """Check a shot log against ``run`` and yield its meta and its cycles,
+    streamed one at a time from ``traces.npy`` and ``clicked.npy``."""
 
     def unreadable(exc) -> ConfigError:
         return ConfigError(f"cannot read shot log {path}: {exc}")
@@ -147,50 +149,50 @@ def _read_log(path: Path, run: RunConfig):
         try:
             zf = stack.enter_context(zipfile.ZipFile(path))
             meta = json.loads(zf.read("meta.json"))
-            clicked = np.load(io.BytesIO(zf.read("clicked.npy")))
-            fh = stack.enter_context(zf.open("traces.npy"))
-            np.lib.format.read_magic(fh)
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if not isinstance(meta, dict):
+                raise ValueError("meta.json does not hold an object")
+            if meta.get("schema") != SCHEMA_VERSION:
+                raise ConfigError(
+                    f"shot log schema {meta.get('schema')} does not match "
+                    f"this package's schema {SCHEMA_VERSION}"
+                )
+            if meta.get("config_hash") != run.config_hash:
+                raise ConfigError(
+                    "shot log was produced with config hash "
+                    f"{meta.get('config_hash')}, current config is {run.config_hash}"
+                )
+            shape = (meta.get("n_cycles"), run.shot.shots_per_cycle, run.shot.n_samples)
+            members = []
+            for name, dtype, want in (
+                ("traces.npy", np.dtype(np.float64), shape),
+                ("clicked.npy", np.dtype(np.bool_), shape[:2]),
+            ):
+                fh = stack.enter_context(zf.open(name))
+                npy.read_magic(fh)
+                found, fortran_order, found_dtype = npy.read_array_header_1_0(fh)
+                header, info = _npy_member(name, found_dtype, found)
+                # a member of exactly the declared length is read to its
+                # end, where its CRC is checked
+                data_bytes = zf.getinfo(name).file_size - fh.tell()
+                if (found, found_dtype, fortran_order, data_bytes) != (
+                    want, dtype, False, info.file_size - len(header)
+                ):
+                    raise ValueError(
+                        f"{name} holds {found} {found_dtype} in {data_bytes} "
+                        f"bytes, expected {want} {dtype}"
+                    )
+                members.append((fh, dtype, found[1:]))
+            n_cycles = found[0]
         except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise unreadable(exc) from None
-        if meta.get("schema") != SCHEMA_VERSION:
-            raise ConfigError(
-                f"shot log schema {meta.get('schema')} does not match "
-                f"this package's schema {SCHEMA_VERSION}"
-            )
-        if meta.get("config_hash") != run.config_hash:
-            raise ConfigError(
-                "shot log was produced with config hash "
-                f"{meta.get('config_hash')}, current config is {run.config_hash}"
-            )
-        expected = (
-            meta.get("n_cycles"),
-            run.shot.shots_per_cycle,
-            run.shot.n_samples,
-        )
-        row_bytes = 8 * run.shot.shots_per_cycle * run.shot.n_samples
-        # a member of exactly the declared length is read to its end,
-        # where its CRC is checked
-        data_bytes = zf.getinfo("traces.npy").file_size - fh.tell()
-        if (
-            shape != expected
-            or clicked.shape != expected[:2]
-            or clicked.dtype != np.bool_
-            or dtype != np.float64
-            or fortran_order
-            or data_bytes != row_bytes * shape[0]
-        ):
-            raise unreadable(
-                f"traces.npy holds {shape} {dtype} in {data_bytes} bytes, "
-                f"clicked.npy {clicked.shape} {clicked.dtype}; "
-                f"expected {expected} float64 and bool"
-            )
 
         def cycles():
             try:
-                for i, flags in enumerate(clicked):
-                    rows = np.frombuffer(fh.read(row_bytes), np.float64)
-                    yield CycleData(i, rows.reshape(shape[1:]), flags)
+                for i in range(n_cycles):
+                    yield CycleData(i, *(
+                        np.frombuffer(src.read(dt.itemsize * math.prod(row)), dt)
+                        .reshape(row) for src, dt, row in members
+                    ))
             except zipfile.BadZipFile as exc:
                 # a damaged member fails its CRC only once fully read
                 raise unreadable(exc) from None
@@ -433,7 +435,10 @@ def main(argv=None) -> int:
     try:
         run = load_config(args.config) if args.config else default_config()
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from None
         return _COMMANDS[args.command](run, out, args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

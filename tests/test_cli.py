@@ -11,9 +11,14 @@ import pytest
 import negdelay.cli
 from negdelay import __version__
 from negdelay.cli import main
-from negdelay.config import SCHEMA_VERSION, default_config, load_config
+from negdelay.config import SCHEMA_VERSION, default_config, load_config, parse_config
 from negdelay.errors import ConfigError
-from negdelay.montecarlo import calibrate_detection, derive_shapes, run_campaign
+from negdelay.montecarlo import (
+    CycleData,
+    calibrate_detection,
+    derive_shapes,
+    run_campaign,
+)
 
 TINY = (
     "shot.shots_per_cycle = 60\n"
@@ -201,17 +206,21 @@ def _analyze_fails(tmp_path, capsys, cfg, log, msg="cannot read shot log"):
 
 
 def test_damaged_trace_data_exits_2(tmp_path, capsys):
+    """A flipped data bit in either streamed member fails its CRC on the
+    last cycle's read, before any CSV is written."""
     cfg = _cfg(tmp_path, TINY)
     sim = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
     log = sim / "shots.npz"
-    with zipfile.ZipFile(log) as zf:
-        info = zf.getinfo("traces.npy")
-    data = bytearray(log.read_bytes())
-    pos = info.header_offset + info.compress_size // 2
-    data[pos] ^= 0x01
-    log.write_bytes(bytes(data))
-    _analyze_fails(tmp_path, capsys, cfg, log)
+    for name in ("traces.npy", "clicked.npy"):
+        with zipfile.ZipFile(log) as zf:
+            info = zf.getinfo(name)
+        data = bytearray(log.read_bytes())
+        pos = info.header_offset + info.compress_size // 2
+        data[pos] ^= 0x01
+        damaged = tmp_path / f"damaged-{name}.npz"
+        damaged.write_bytes(bytes(data))
+        _analyze_fails(tmp_path, capsys, cfg, damaged)
 
 
 @pytest.mark.parametrize(
@@ -305,14 +314,76 @@ def test_shot_log_memory_is_bounded(tmp_path, monkeypatch):
     # Drawing a cycle holds two cycle-sized arrays (the traces with the
     # scattered term, then with the noise) plus numpy's buffers and the
     # per-shot vectors, under half a cycle, while the writer still holds
-    # the cycle before; the click flags are held as rows, then stacked,
-    # saved and copied. Checked at 100 cycles, after the first campaign
-    # has imported what it needs.
+    # the cycle before; the click flags are held as rows. Checked at 100
+    # cycles, after the first campaign has imported what it needs.
     shot = default_config().shot
     bound = 3.5 * 8 * shot.shots_per_cycle * shot.n_samples
     bound += 4 * 100 * shot.shots_per_cycle
     assert peaks[100][0] <= bound, ("simulate", peaks[100][0], bound)
     assert peaks[100][1] <= 1.5 * peaks[10][1], ("analyze", peaks)
+
+
+def _zero_cycles(run, traces):
+    """``run.n_cycles`` zero-valued cycles sharing one traces array, each
+    with fresh per-shot vectors, as the sampler draws them."""
+    shots = run.shot.shots_per_cycle
+    for i in range(run.n_cycles):
+        yield CycleData(
+            i,
+            traces,
+            np.zeros(shots, bool),
+            np.zeros(shots, np.int64),
+            np.zeros(shots, np.int64),
+            np.zeros(shots, bool),
+        )
+
+
+def test_log_writer_holds_only_the_per_shot_vectors(tmp_path):
+    """Writing a --truth log holds the per-shot rows and nothing that
+    scales with them: each member is streamed, never stacked or copied
+    (the stacked writer peaked at 2.2 times the rows plus one cycle)."""
+    run = parse_config("campaign.n_cycles = 200\n")
+    shots, n_samples = run.shot.shots_per_cycle, run.shot.n_samples
+    traces = np.zeros((shots, n_samples))
+    tracemalloc.start()
+    try:
+        negdelay.cli._write_log(
+            tmp_path / "shots.npz", run, 0, "normal", _zero_cycles(run, traces), True
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # bool clicked and background_clicked, int64 n_transmitted and n_scattered
+    held = run.n_cycles * shots * (1 + 8 + 8 + 1)
+    bound = 1.1 * (held + traces.nbytes)
+    assert peak <= bound, (peak, held, bound)
+
+
+def test_log_reader_memory_does_not_grow_with_cycles(tmp_path):
+    """The reader streams traces.npy and clicked.npy a cycle at a time.
+    One sample per shot keeps the logs small while the click flags of a
+    whole log would still dominate a cycle's traces."""
+    peaks = {}
+    for n_cycles in (2, 10, 1000):
+        run = parse_config(
+            f"campaign.n_cycles = {n_cycles}\n"
+            "shot.shots_per_cycle = 200\n"
+            "shot.n_samples = 1\n"
+        )
+        log = tmp_path / f"{n_cycles}.npz"
+        traces = np.zeros((run.shot.shots_per_cycle, 1))
+        negdelay.cli._write_log(
+            log, run, 0, "normal", _zero_cycles(run, traces), False
+        )
+        tracemalloc.start()
+        try:
+            with negdelay.cli._read_log(log, run) as (_, cycles):
+                assert sum(1 for _ in cycles) == n_cycles
+            peaks[n_cycles] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the 2-cycle read only warms up what a first read imports
+    assert peaks[1000] <= 1.5 * peaks[10], peaks
 
 
 def test_simulate_truth_arrays(tmp_path):
@@ -322,6 +393,22 @@ def test_simulate_truth_arrays(tmp_path):
     with zipfile.ZipFile(out / "shots.npz") as zf:
         names = set(zf.namelist())
     assert {"n_transmitted.npy", "n_scattered.npy", "background_clicked.npy"} <= names
+
+
+def test_analyze_of_truth_log_matches_plain_log(tmp_path):
+    """The photon fates ride along unread: a --truth log analyzes to the
+    same CSV bytes as the plain log of the same seed."""
+    cfg = _cfg(tmp_path, TINY)
+    for name, extra in (("plain", []), ("truth", ["--truth"])):
+        sim = tmp_path / f"sim-{name}"
+        argv = ["simulate", "--config", cfg, "--seed", "3", "--out", str(sim)]
+        assert main(argv + extra) == 0
+        log = str(sim / "shots.npz")
+        argv = ["analyze", "--config", cfg, "--log", log, "--out"]
+        assert main(argv + [str(tmp_path / f"res-{name}")]) == 0
+    for csv in ("phiT_measured.csv", "ratio.csv"):
+        plain = (tmp_path / "res-plain" / csv).read_bytes()
+        assert (tmp_path / "res-truth" / csv).read_bytes() == plain, csv
 
 
 def test_analyze_rejects_foreign_log(tmp_path, capsys):
@@ -533,3 +620,28 @@ def test_missing_and_corrupt_logs_exit_2(tmp_path, capsys):
     rc = main(["analyze", "--log", str(bad), "--out", str(tmp_path / "y")])
     assert rc == 2
     assert "cannot read shot log" in capsys.readouterr().err
+
+
+def test_log_meta_not_an_object_exits_2(tmp_path, capsys):
+    """meta.json that parses as JSON but not as an object is unreadable,
+    however sound the other members are."""
+    cfg = _cfg(tmp_path, TINY)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    log = sim / "shots.npz"
+    with zipfile.ZipFile(log) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    members["meta.json"] = "[]"
+    with zipfile.ZipFile(log, "w") as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+    _analyze_fails(tmp_path, capsys, cfg, log)
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["theory", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}")
+    assert out.read_text() == "not a directory"
