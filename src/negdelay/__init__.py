@@ -8,14 +8,7 @@ statistical pipeline from raw shots to excitation-time ratios.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AnalysisError,
-    ConfigError,
-    ConvergenceError,
-    GridError,
-    NegdelayError,
-    PostSelectionError,
-)
+from .errors import AnalysisError, ConfigError, ConvergenceError, NegdelayError
 from .medium import MediumSpec
 from .pulse import PulseSpec, SampledSignal
 
@@ -23,10 +16,8 @@ __all__ = [
     "__version__",
     "NegdelayError",
     "ConfigError",
-    "GridError",
     "ConvergenceError",
     "AnalysisError",
-    "PostSelectionError",
     "MediumSpec",
     "PulseSpec",
     "SampledSignal",

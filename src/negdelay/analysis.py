@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnalysisError, ConvergenceError, PostSelectionError
+from .errors import AnalysisError, ConvergenceError
 
 __all__ = [
     "PostSelectedResult",
@@ -30,7 +30,6 @@ __all__ = [
     "accumulate",
     "integration_window",
     "integrate_trapz",
-    "propagate_error",
     "integral_with_error",
     "ratio_estimate",
     "fit_gaussian",
@@ -86,9 +85,7 @@ class GaussianFit:
     amplitude: float
     center: float
     width: float
-    amplitude_err: float
     center_err: float
-    width_err: float
     rms_residual: float
     n_iterations: int
 
@@ -120,7 +117,7 @@ class Accumulator:
         n_c = int(clicked.sum())
         n_nc = clicked.size - n_c
         if n_c == 0 or n_nc == 0:
-            raise PostSelectionError(
+            raise AnalysisError(
                 f"cycle {self.n_cycles}: "
                 f"{'click' if n_c == 0 else 'no-click'} class is empty"
             )
@@ -159,7 +156,7 @@ class Accumulator:
     def result(self) -> PostSelectedResult:
         n = self.n_cycles
         if n < 2:
-            raise PostSelectionError(
+            raise AnalysisError(
                 "need at least two cycles to estimate the covariance"
             )
         mean_d = self.sum_diff / n
@@ -192,7 +189,7 @@ def accumulate(cycles, keep_differences: bool = False):
             acc = Accumulator(cyc.traces.shape[1], keep_differences)
         acc.add_cycle(cyc.traces, cyc.clicked)
     if acc is None:
-        raise PostSelectionError("no cycles to accumulate")
+        raise AnalysisError("no cycles to accumulate")
     res = acc.result()
     if keep_differences:
         return res, np.asarray(acc.differences)
@@ -227,10 +224,15 @@ def integrate_trapz(
     return float(jac @ trace), jac
 
 
-def propagate_error(jacobian: np.ndarray, cov_restricted: np.ndarray) -> float:
-    """sigma = sqrt(J^T M_R J), clamping float-noise negatives only."""
-    jac = np.asarray(jacobian, dtype=np.float64)
-    cov = np.asarray(cov_restricted, dtype=np.float64)
+def integral_with_error(
+    trace: np.ndarray, cov: np.ndarray, window: tuple[int, int], dt: float
+) -> IntegralResult:
+    """Trapezoidal integral over the window with sigma = sqrt(J^T M J),
+    M the window's block of ``cov``; only float-noise negatives clamp."""
+    value, jac = integrate_trapz(trace, window, dt)
+    lo, hi = window
+    jac = jac[lo : hi + 1]
+    cov = np.asarray(cov, dtype=np.float64)[lo : hi + 1, lo : hi + 1]
     if cov.shape != (jac.size, jac.size):
         raise AnalysisError(
             f"covariance shape {cov.shape} does not match jacobian {jac.size}"
@@ -239,16 +241,7 @@ def propagate_error(jacobian: np.ndarray, cov_restricted: np.ndarray) -> float:
     scale = float(np.sum(np.abs(jac)) ** 2 * np.max(np.abs(cov), initial=0.0))
     if var < -1e-14 * scale:
         raise AnalysisError(f"negative variance {var:.3e} beyond rounding")
-    return float(np.sqrt(max(var, 0.0)))
-
-
-def integral_with_error(
-    trace: np.ndarray, cov: np.ndarray, window: tuple[int, int], dt: float
-) -> IntegralResult:
-    value, jac = integrate_trapz(trace, window, dt)
-    lo, hi = window
-    sigma = propagate_error(jac[lo : hi + 1], cov[lo : hi + 1, lo : hi + 1])
-    return IntegralResult(value=value, sigma=sigma)
+    return IntegralResult(value=value, sigma=float(np.sqrt(max(var, 0.0))))
 
 
 def ratio_estimate(
@@ -337,18 +330,16 @@ def fit_gaussian(trace: np.ndarray, dt: float) -> GaussianFit:
     if dof > 0:
         try:
             cov_p = np.linalg.inv(jac.T @ jac) * (sse / dof)
-            errs = np.sqrt(np.maximum(np.diag(cov_p), 0.0))
+            center_err = np.sqrt(np.maximum(cov_p[1, 1], 0.0))
         except np.linalg.LinAlgError:
-            errs = np.full(3, np.inf)
+            center_err = np.inf
     else:
-        errs = np.zeros(3)
+        center_err = 0.0
     return GaussianFit(
         amplitude=float(a),
         center=float(c),
         width=float(abs(w)),
-        amplitude_err=float(errs[0]),
-        center_err=float(errs[1]),
-        width_err=float(errs[2]),
+        center_err=float(center_err),
         rms_residual=rms,
         n_iterations=n_iter,
     )

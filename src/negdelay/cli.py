@@ -32,7 +32,7 @@ from .analysis import (
     integration_window,
     ratio_estimate,
 )
-from .errors import AnalysisError, ConfigError, ConvergenceError, NegdelayError
+from .errors import ConfigError, NegdelayError
 from .excitation import phi0_trace, spectral_report
 from .medium import conversion_factor
 from .montecarlo import (
@@ -161,6 +161,10 @@ def _read_log(path: Path, run: RunConfig):
                     "shot log was produced with config hash "
                     f"{meta.get('config_hash')}, current config is {run.config_hash}"
                 )
+            # both CSV headers carry the seed: hold it to the --seed rule
+            seed = meta.get("seed")
+            if type(seed) is not int or seed < 0:
+                raise ValueError(f"meta.json seed {seed!r} is not an integer >= 0")
             shape = (meta.get("n_cycles"), run.shot.shots_per_cycle, run.shot.n_samples)
             members = []
             for name, dtype, want in (
@@ -325,7 +329,7 @@ def _cmd_analyze(run: RunConfig, out: Path, args) -> int:
     with _read_log(Path(args.log), run) as (meta, cycles):
         shapes, _ = _prepare(run)
         return _analyze_cycles(
-            run, shapes, cycles, out, meta.get("seed"), gate=False
+            run, shapes, cycles, out, meta["seed"], gate=False
         )
 
 
@@ -440,18 +444,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from None
         return _COMMANDS[args.command](run, out, args)
-    except ConvergenceError as exc:
+    except NegdelayError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NegdelayError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

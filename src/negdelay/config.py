@@ -2,7 +2,8 @@
 
 Files are plain text, one ``section.key = value`` per line, ``#`` starts
 a comment. Units ride in the key names (_ns, _MHz, _mrad, _urad); values are
-converted to SI (seconds, angular rad/s, radians) on load. Every key has
+converted to SI (seconds, angular rad/s, radians) on load, and every
+number, list entries included, must be finite. Every key has
 a default mirroring the experiment's standing constants, so an empty file
 is a valid configuration. The linewidth is ``medium.gamma_MHz`` (gamma /
 2 pi; the default is a 26 ns lifetime). The config hash covers the parsed
@@ -24,17 +25,12 @@ from .pulse import PulseSpec
 
 __all__ = [
     "RunConfig",
-    "DEFAULT_SIGMA0_OVER_AREA",
     "parse_config",
     "load_config",
     "default_config",
 ]
 
 SCHEMA_VERSION = 3
-
-# sigma0/A making the unconditioned phase peak 15 urad for a 27 ns rms
-# pulse at od 4 (26 ns lifetime, probe at -20 MHz) on the default grid
-DEFAULT_SIGMA0_OVER_AREA = 3.540632886280689e-4
 
 _TWO_PI = 2.0 * math.pi
 
@@ -48,38 +44,47 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(","))
+    return tuple(map(_finite, raw.split(",")))
 
 
 # key -> (parser, default)
 _SCHEMA = {
-    "medium.od": (float, 4.0),
+    "medium.od": (_finite, 4.0),
     # gamma / 2 pi of a 26 ns lifetime; 2 pi * this * 1e6 == 1 / 26e-9 exactly
-    "medium.gamma_MHz": (float, 6.121343965072898),
-    "medium.probe_detuning_MHz": (float, -20.0),
-    "medium.sigma0_over_area": (float, DEFAULT_SIGMA0_OVER_AREA),
+    "medium.gamma_MHz": (_finite, 6.121343965072898),
+    "medium.probe_detuning_MHz": (_finite, -20.0),
+    # sigma0/A making the unconditioned phase peak 15 urad for a 27 ns rms
+    # pulse at od 4 (26 ns lifetime, probe at -20 MHz) on the default grid
+    "medium.sigma0_over_area": (_finite, 3.540632886280689e-4),
     "medium.n_slabs": (int, 128),
-    "pulse.sigma_rms_ns": (float, 10.0),
-    "pulse.center_detuning_MHz": (float, 0.0),
+    "pulse.sigma_rms_ns": (_finite, 10.0),
+    "pulse.center_detuning_MHz": (_finite, 0.0),
     "shot.n_samples": (int, 36),
-    "shot.dt_ns": (float, 16.0),
-    "shot.mean_photons": (float, 100.0),
-    "shot.target_click_prob": (float, 0.2),
-    "shot.phase_noise_mrad": (float, 120.0),
-    "shot.background_click_fraction": (float, 0.1),
+    "shot.dt_ns": (_finite, 16.0),
+    "shot.mean_photons": (_finite, 100.0),
+    "shot.target_click_prob": (_finite, 0.2),
+    "shot.phase_noise_mrad": (_finite, 120.0),
+    "shot.background_click_fraction": (_finite, 0.1),
     "shot.lowpass_enabled": (_bool, False),
-    "shot.lowpass_cutoff_MHz": (float, 25.0),
+    "shot.lowpass_cutoff_MHz": (_finite, 25.0),
     "shot.shots_per_cycle": (int, 1500),
-    "shot.pulse_center_ns": (float, 260.0),
-    "shot.wobble_amplitude_urad": (float, 0.0),
-    "shot.wobble_frequency_MHz": (float, 2.0),
-    "shot.wobble_phase_rad": (float, 0.0),
+    "shot.pulse_center_ns": (_finite, 260.0),
+    "shot.wobble_amplitude_urad": (_finite, 0.0),
+    "shot.wobble_frequency_MHz": (_finite, 2.0),
+    "shot.wobble_phase_rad": (_finite, 0.0),
     "campaign.n_cycles": (int, 100),
     "oracle.n_atoms": (int, 64),
     # inert since the oracle keeps no checkpoints; the benchmark still reads it
     "oracle.checkpoint_interval": (int, 64),
-    "analysis.window_fraction": (float, 0.3),
+    "analysis.window_fraction": (_finite, 0.3),
     "sweep.sigma_rms_ns": (_float_list, (10.0, 18.0, 27.0, 36.0)),
     "sweep.od": (_float_list, (2.0, 4.0)),
 }

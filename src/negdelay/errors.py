@@ -1,30 +1,31 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, convergence failures with 3, infeasible analyses with 4.
+Each type's ``exit_code`` is the process exit code the CLI returns when
+a command stops on that error; the CLI itself holds no table of codes.
 """
 
 
 class NegdelayError(Exception):
     """Base class for package errors."""
 
+    exit_code = 1
+
 
 class ConfigError(NegdelayError):
-    """Invalid configuration value, key, or file (exit code 2)."""
+    """Invalid configuration value, key, grid or file, or an unreadable
+    shot log."""
 
-
-class GridError(ConfigError):
-    """Sampling grid violates a resolution or span precondition."""
+    exit_code = 2
 
 
 class ConvergenceError(NegdelayError):
-    """An iterative procedure failed to converge (exit code 3)."""
+    """An iterative procedure failed to converge."""
+
+    exit_code = 3
 
 
 class AnalysisError(NegdelayError):
-    """Analysis cannot proceed on the given data (exit code 4)."""
+    """Analysis cannot proceed on the given data, such as a degenerate
+    post-selection."""
 
-
-class PostSelectionError(AnalysisError):
-    """Post-selection is degenerate: a cycle's click or no-click class is
-    empty, or fewer than two cycles are left to estimate the covariance."""
+    exit_code = 4

@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, GridError
+from .errors import ConfigError
 from .excitation import phi0_trace
 from .medium import MediumSpec, conversion_factor
 from .oracle import max_step, weak_excitation_trace
@@ -193,14 +193,14 @@ MAX_GRID_POINTS = 1 << 18
 def fine_signal(medium: MediumSpec, pulse: PulseSpec):
     """Pulse field on a grid fine enough for the collision model.
 
-    Raises GridError, before allocating, when that grid would exceed
+    Raises ConfigError, before allocating, when that grid would exceed
     MAX_GRID_POINTS samples.
     """
     step = max_step(medium, pulse.sigma_rms)
     span = 2.0 * LEAD_SIGMAS * pulse.sigma_rms + TAIL_LIFETIMES / medium.gamma
     # multiplied, not divided: step underflows to 0 at extreme inputs
     if not span <= MAX_GRID_POINTS * step:
-        raise GridError(
+        raise ConfigError(
             f"linewidth {medium.gamma:.3g} rad/s with sigma_rms "
             f"{pulse.sigma_rms:.3g} s needs more than {MAX_GRID_POINTS} "
             "grid samples"

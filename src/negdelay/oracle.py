@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, GridError
+from .errors import ConfigError, ConvergenceError
 from .medium import MediumSpec
 from .pulse import SampledSignal
 
@@ -91,7 +91,6 @@ PAD_LIFETIMES = 48
 class CollisionModel:
     """Calibrated discrete-emitter chain for one medium and step size."""
 
-    n_atoms: int
     dt: float
     theta: float
     gamma_side: float
@@ -166,9 +165,9 @@ def build_model(
     if n_atoms < 1:
         raise ConvergenceError("need at least one emitter")
     if dt <= 0.0:
-        raise GridError("time step must be positive")
+        raise ConfigError("time step must be positive")
     if dt > STEP_LIFETIME_FRACTION / medium.gamma:
-        raise GridError(
+        raise ConfigError(
             f"time step {dt:.3e} s exceeds "
             f"{STEP_LIFETIME_FRACTION:g} / gamma = "
             f"{STEP_LIFETIME_FRACTION / medium.gamma:.3e} s"
@@ -180,9 +179,7 @@ def build_model(
             f"weak-extinction bound {MAX_OD_PER_ATOM}; increase n_atoms"
         )
     theta, gamma_side = calibrate_rotation(od_per_atom, medium.gamma, dt)
-    return CollisionModel(
-        n_atoms=n_atoms, dt=dt, theta=theta, gamma_side=gamma_side
-    )
+    return CollisionModel(dt=dt, theta=theta, gamma_side=gamma_side)
 
 
 def max_step(medium: MediumSpec, sigma_rms: float) -> float:
@@ -266,7 +263,7 @@ def weak_excitation_trace(
         fb /= h
 
     if ne[-1] > 1e-6:
-        raise GridError(
+        raise ConfigError(
             f"residual excitation {ne[-1]:.2e} at the grid edge; "
             "extend the tail"
         )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridError
+from .errors import ConfigError
 from .medium import MediumSpec, transfer_function
 
 __all__ = [
@@ -111,7 +111,7 @@ def gaussian_field(pulse: PulseSpec, gamma: float, n: int = 4096) -> SampledSign
         env *= np.exp(-1j * pulse.center_detuning * t)
     peak = np.abs(env).max()
     if abs(env[0]) > EDGE_GUARD * peak or abs(env[-1]) > EDGE_GUARD * peak:
-        raise GridError(
+        raise ConfigError(
             f"{n}-sample grid is too coarse to sample the pulse: an edge "
             "sample holds more than 1e-8 of the largest sample"
         )

@@ -20,11 +20,10 @@ from negdelay.analysis import (
     integral_with_error,
     integrate_trapz,
     integration_window,
-    propagate_error,
     ratio_estimate,
     time_align,
 )
-from negdelay.errors import AnalysisError, PostSelectionError
+from negdelay.errors import AnalysisError
 
 
 class _Cycle:
@@ -122,21 +121,21 @@ def test_merge_extends_kept_differences():
 
 def test_empty_class_is_rejected():
     acc = Accumulator(2)
-    with pytest.raises(PostSelectionError, match="no-click class is empty"):
+    with pytest.raises(AnalysisError, match="no-click class is empty"):
         acc.add_cycle(np.ones((3, 2)), np.array([True, True, True]))
-    with pytest.raises(PostSelectionError, match="click class is empty"):
+    with pytest.raises(AnalysisError, match="click class is empty"):
         acc.add_cycle(np.ones((3, 2)), np.array([False, False, False]))
 
 
 def test_result_needs_two_cycles():
     acc = Accumulator(2)
     acc.add_cycle(np.ones((2, 2)), np.array([True, False]))
-    with pytest.raises(PostSelectionError, match="two cycles"):
+    with pytest.raises(AnalysisError, match="two cycles"):
         acc.result()
 
 
 def test_accumulate_rejects_empty_input():
-    with pytest.raises(PostSelectionError, match="no cycles"):
+    with pytest.raises(AnalysisError, match="no cycles"):
         accumulate([])
 
 
@@ -237,40 +236,47 @@ def test_trapz_window_bounds(window):
         integrate_trapz(np.ones(20), window, 1e-9)
 
 
-def test_propagate_error_diagonal_and_rank_one():
-    jac = np.array([0.5, 1.0, 2.0])
-    var = np.array([4.0, 1.0, 0.25])
-    got = propagate_error(jac, np.diag(var))
-    assert got == pytest.approx(np.sqrt(jac**2 @ var), rel=1e-14)
-    v = np.array([1.0, -2.0, 3.0])
-    got = propagate_error(jac, np.outer(v, v))
-    assert got == pytest.approx(abs(jac @ v), rel=1e-12)
+def test_integral_error_diagonal_and_rank_one():
+    # window (1, 3) of five samples at dt 2: trapezoid weights J = (1, 2, 1)
+    jac = np.array([1.0, 2.0, 1.0])
+    var = np.array([9.0, 4.0, 1.0, 0.25, 16.0])
+    res = integral_with_error(np.zeros(5), np.diag(var), (1, 3), 2.0)
+    assert res.sigma == pytest.approx(np.sqrt(jac**2 @ var[1:4]), rel=1e-14)
+    v = np.array([5.0, 1.0, -2.0, 3.0, 7.0])
+    res = integral_with_error(np.zeros(5), np.outer(v, v), (1, 3), 2.0)
+    assert res.sigma == pytest.approx(abs(jac @ v[1:4]), rel=1e-12)
 
 
-def test_propagate_error_guards():
+def test_integral_error_guards():
+    # a covariance smaller than the window
     with pytest.raises(AnalysisError, match="shape"):
-        propagate_error(np.ones(3), np.eye(2))
+        integral_with_error(np.ones(3), np.eye(2), (0, 2), 1.0)
     with pytest.raises(AnalysisError, match="negative variance"):
-        propagate_error(np.array([1.0]), np.array([[-1.0]]))
+        integral_with_error(np.ones(2), -np.eye(2), (0, 1), 1.0)
 
 
-def test_propagate_error_clamps_rounding_noise():
+def test_integral_error_clamps_rounding_noise():
     # perfectly anticorrelated up to one float step: the quadratic form
-    # lands at -2e-15, inside the rounding band, and must clamp to zero
+    # lands just below zero, inside the rounding band, and must clamp
     c = 1.0 + 1e-15
     cov = np.array([[1.0, -c], [-c, 1.0]])
-    assert propagate_error(np.array([1.0, 1.0]), cov) == 0.0
+    jac = np.array([0.5, 0.5])
+    assert jac @ cov @ jac < 0.0
+    assert integral_with_error(np.ones(2), cov, (0, 1), 1.0).sigma == 0.0
 
 
 def test_integral_with_error_consistency():
     rng = np.random.default_rng(9)
     trace = rng.standard_normal(10)
-    cov = np.diag(np.full(10, 0.04))
+    cov = rng.standard_normal((10, 10))
+    cov = cov @ cov.T
     dt = 2e-9
     res = integral_with_error(trace, cov, (2, 7), dt)
-    value, jac = integrate_trapz(trace, (2, 7), dt)
-    assert res.value == value
-    assert res.sigma == propagate_error(jac[2:8], cov[2:8, 2:8])
+    jac = np.array([0.5, 1.0, 1.0, 1.0, 1.0, 0.5]) * dt
+    assert res.value == pytest.approx(jac @ trace[2:8], rel=1e-14)
+    assert res.sigma == pytest.approx(
+        np.sqrt(jac @ cov[2:8, 2:8] @ jac), rel=1e-14
+    )
 
 
 def test_integral_result_validators():

@@ -12,7 +12,12 @@ import negdelay.cli
 from negdelay import __version__
 from negdelay.cli import main
 from negdelay.config import SCHEMA_VERSION, default_config, load_config, parse_config
-from negdelay.errors import ConfigError
+from negdelay.errors import (
+    AnalysisError,
+    ConfigError,
+    ConvergenceError,
+    NegdelayError,
+)
 from negdelay.montecarlo import (
     CycleData,
     calibrate_detection,
@@ -555,6 +560,11 @@ def test_sweep_transparent_medium_reports_na(tmp_path):
         ("medium.tau_sp_ns = 26", "unknown key"),
         ("campaign.seed = 3", "unknown key"),
         ("medium.gamma_MHz = 0", "linewidth"),
+        # non-finite values stop at the parser, before any command uses them
+        ("shot.mean_photons = nan", "key 'shot.mean_photons': must be finite"),
+        ("shot.dt_ns = inf", "key 'shot.dt_ns': must be finite"),
+        ("shot.phase_noise_mrad = -inf", "key 'shot.phase_noise_mrad': must be finite"),
+        ("sweep.od = 2, nan", "key 'sweep.od': must be finite"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, text, msg):
@@ -566,14 +576,24 @@ def test_bad_config_exits_2(tmp_path, capsys, text, msg):
 
 
 @pytest.mark.parametrize(
-    "gamma_mhz, msg",
+    "gamma_mhz, start, msg",
     [
-        ("1e-12", "grid samples"),
-        ("inf", "must be finite"),
-        ("1e305", "must be finite"),
+        pytest.param(
+            "1e-12", "error: linewidth", "grid samples", id="1e-12-grid samples"
+        ),
+        # refused by the parser, before any linewidth is formed
+        pytest.param(
+            "inf",
+            "error: key 'medium.gamma_MHz'",
+            "must be finite",
+            id="inf-must be finite",
+        ),
+        pytest.param(
+            "1e305", "error: linewidth", "must be finite", id="1e305-must be finite"
+        ),
     ],
 )
-def test_unbounded_linewidth_exits_2(tmp_path, capsys, gamma_mhz, msg):
+def test_unbounded_linewidth_exits_2(tmp_path, capsys, gamma_mhz, start, msg):
     """A linewidth whose grid would not fit (1e-12 MHz asked numpy for
     64 PiB) or that is not finite (1e305 MHz overflows to inf rad/s)
     exits 2 with a message, before any allocation or output."""
@@ -581,9 +601,25 @@ def test_unbounded_linewidth_exits_2(tmp_path, capsys, gamma_mhz, msg):
     out = tmp_path / "x"
     assert main(["theory", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: linewidth") and msg in err
+    assert err.startswith(start) and msg in err
     assert "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(NegdelayError, 1), (ConfigError, 2), (ConvergenceError, 3), (AnalysisError, 4)],
+)
+def test_error_types_carry_their_exit_codes(
+    tmp_path, capsys, monkeypatch, error, code
+):
+    def fail(run, out, args):
+        raise error("stub failure")
+
+    monkeypatch.setitem(negdelay.cli._COMMANDS, "theory", fail)
+    assert error.exit_code == code
+    assert main(["theory", "--out", str(tmp_path / "x")]) == code
+    assert capsys.readouterr().err == "error: stub failure\n"
 
 
 def test_convergence_failure_exits_3(tmp_path, capsys):
@@ -636,6 +672,34 @@ def test_log_meta_not_an_object_exits_2(tmp_path, capsys):
         for name, blob in members.items():
             zf.writestr(name, blob)
     _analyze_fails(tmp_path, capsys, cfg, log)
+
+
+def test_log_meta_seed_is_held_to_the_seed_rule(tmp_path, capsys):
+    """Both CSV headers copy the log's seed: one that is not an integer
+    >= 0 (a line break in it forged a data row) makes the log unreadable."""
+    cfg = _cfg(tmp_path, TINY)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    log = sim / "shots.npz"
+    with zipfile.ZipFile(log) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    meta = json.loads(members["meta.json"])
+
+    def write_seed(seed):
+        members["meta.json"] = json.dumps({**meta, "seed": seed})
+        with zipfile.ZipFile(log, "w") as zf:
+            for name, blob in members.items():
+                zf.writestr(name, blob)
+
+    # the rewrite alone keeps the log readable
+    write_seed(5)
+    good = tmp_path / "good"
+    argv = ["analyze", "--config", cfg, "--log", str(log), "--out", str(good)]
+    assert main(argv) == 0
+    assert (good / "ratio.csv").read_text().splitlines()[1].endswith(" seed=5")
+    for seed in ("3\nt_ns,phi_urad\n1,2", "3", True, -1, 3.0, None):
+        write_seed(seed)
+        _analyze_fails(tmp_path, capsys, cfg, log)
 
 
 def test_out_naming_a_file_exits_2(tmp_path, capsys):

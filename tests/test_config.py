@@ -9,7 +9,6 @@ import pytest
 
 from negdelay.config import (
     _SCHEMA,
-    DEFAULT_SIGMA0_OVER_AREA,
     default_config,
     load_config,
     parse_config,
@@ -25,7 +24,7 @@ def test_defaults_mirror_standing_constants():
     assert m.od == 4.0
     assert m.gamma == pytest.approx(1.0 / 26e-9, rel=1e-15)
     assert m.probe_detuning == pytest.approx(-TWO_PI * 20e6, rel=1e-15)
-    assert m.sigma0_over_area == DEFAULT_SIGMA0_OVER_AREA
+    assert m.sigma0_over_area == 3.540632886280689e-4
     assert m.n_slabs == 128
     assert run.pulse.sigma_rms == pytest.approx(10e-9, rel=1e-15)
     assert run.pulse.center_detuning == 0.0
@@ -194,6 +193,23 @@ def test_sweep_lists():
     assert run.sweep_ods == (1.0,)
     with pytest.raises(ConfigError, match="key 'sweep.od'"):
         parse_config("sweep.od = 1;2")
+    msg = "^key 'sweep.sigma_rms_ns': must be finite, got inf$"
+    with pytest.raises(ConfigError, match=msg):
+        parse_config("sweep.sigma_rms_ns = 10, inf, 27")
+
+
+#: keys holding one float: every default of that type in the key table
+FLOAT_KEYS = sorted(
+    key for key, (_, default) in _SCHEMA.items() if type(default) is float
+)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_refused(key):
+    for value in ("nan", "inf", "-inf"):
+        msg = f"^key '{key}': must be finite, got {value}$"
+        with pytest.raises(ConfigError, match=msg):
+            parse_config(f"{key} = {value}")
 
 
 def test_unit_conversions():

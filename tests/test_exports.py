@@ -7,7 +7,7 @@ import inspect
 import pkgutil
 
 import negdelay
-from negdelay.analysis import IntegralResult
+from negdelay.analysis import GaussianFit, IntegralResult
 from negdelay.config import RunConfig
 from negdelay.excitation import ExcitationTrace
 from negdelay.medium import MediumSpec
@@ -46,6 +46,10 @@ REMOVED = (
     "calibration_slope",
     "null_dataset",
     "dump_config",
+    "GridError",
+    "PostSelectionError",
+    "propagate_error",
+    "DEFAULT_SIGMA0_OVER_AREA",
 )
 
 #: deleted fields and methods: stored or computed, but read by nothing
@@ -57,7 +61,8 @@ REMOVED_FIELDS = {
     PerPhotonShapes: ("dt",),
     IntegralResult: ("window", "jacobian"),
     ExcitationTrace: ("axis", "t0"),
-    CollisionModel: ("gamma_forward",),
+    CollisionModel: ("gamma_forward", "n_atoms"),
+    GaussianFit: ("amplitude_err", "width_err"),
     RunConfig: ("seed",),
 }
 

@@ -20,7 +20,7 @@ from negdelay.analysis import (
     ratio_estimate,
 )
 from negdelay.config import default_config
-from negdelay.errors import ConfigError, GridError
+from negdelay.errors import ConfigError
 from negdelay.montecarlo import (
     DetectionCalibration,
     PerPhotonShapes,
@@ -547,9 +547,9 @@ def test_fine_signal_grid_ceiling(run, monkeypatch):
     monkeypatch.setattr(montecarlo, "MAX_GRID_POINTS", 32768)
     assert fine_signal(run.medium, PulseSpec(sigma_rms=700e-9)).n == 32768
     monkeypatch.setattr(montecarlo, "MAX_GRID_POINTS", 16384)
-    with pytest.raises(GridError, match="linewidth"):
+    with pytest.raises(ConfigError, match="linewidth .* grid samples"):
         fine_signal(run.medium, PulseSpec(sigma_rms=700e-9))
     monkeypatch.undo()
     for gamma in (1e-5, 1e300):
-        with pytest.raises(GridError, match="linewidth"):
+        with pytest.raises(ConfigError, match="linewidth .* grid samples"):
             fine_signal(replace(run.medium, gamma=gamma), run.pulse)

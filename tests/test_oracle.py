@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from negdelay.errors import ConvergenceError, GridError
+from negdelay.errors import ConfigError, ConvergenceError
 from negdelay.excitation import spectral_report
 from negdelay.montecarlo import fine_signal
 from negdelay.oracle import (
@@ -56,9 +56,9 @@ def test_build_model_rejects_strong_per_emitter_coupling(run, fine_sig):
 def test_build_model_validation(run, fine_sig):
     with pytest.raises(ConvergenceError, match="at least one emitter"):
         build_model(run.medium, fine_sig.dt, n_atoms=0)
-    with pytest.raises(GridError, match="positive"):
+    with pytest.raises(ConfigError, match="time step must be positive"):
         build_model(run.medium, 0.0)
-    with pytest.raises(GridError, match="exceeds"):
+    with pytest.raises(ConfigError, match="time step .* exceeds"):
         build_model(run.medium, 1e-9)
 
 
@@ -117,7 +117,7 @@ def test_truncated_ringdown_is_rejected(run, fine_sig):
         t0=fine_sig.t0,
         samples=np.roll(fine_sig.samples, 3000),
     )
-    with pytest.raises(GridError, match="residual excitation"):
+    with pytest.raises(ConfigError, match="residual excitation"):
         weak_excitation_trace(shifted, run.medium)
 
 

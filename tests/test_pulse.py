@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negdelay.errors import ConfigError, GridError
+from negdelay.errors import ConfigError
 from negdelay.pulse import (
     PulseSpec,
     SampledSignal,
@@ -62,7 +62,7 @@ def test_fixed_span_grid_acceptance(sigma, n, accepted):
         assert sig.t0 == -9.0 * sigma
         assert sig.n * sig.dt == pytest.approx(18.0 * sigma + 15.0 / gamma)
     else:
-        with pytest.raises(GridError, match=f"{n}-sample grid is too coarse"):
+        with pytest.raises(ConfigError, match=f"{n}-sample grid is too coarse"):
             gaussian_field(pulse, gamma, n=n)
 
 
