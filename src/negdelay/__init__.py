@@ -8,17 +8,4 @@ statistical pipeline from raw shots to excitation-time ratios.
 
 __version__ = "0.1.0"
 
-from .errors import AnalysisError, ConfigError, ConvergenceError, NegdelayError
-from .medium import MediumSpec
-from .pulse import PulseSpec, SampledSignal
-
-__all__ = [
-    "__version__",
-    "NegdelayError",
-    "ConfigError",
-    "ConvergenceError",
-    "AnalysisError",
-    "MediumSpec",
-    "PulseSpec",
-    "SampledSignal",
-]
+__all__ = ["__version__"]

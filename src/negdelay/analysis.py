@@ -23,16 +23,11 @@ import numpy as np
 from .errors import AnalysisError, ConvergenceError
 
 __all__ = [
-    "PostSelectedResult",
-    "IntegralResult",
-    "GaussianFit",
-    "Accumulator",
     "accumulate",
     "integration_window",
     "integrate_trapz",
     "integral_with_error",
     "ratio_estimate",
-    "fit_gaussian",
     "time_align",
     "bootstrap_sigma",
 ]

@@ -193,10 +193,15 @@ def _read_log(path: Path, run: RunConfig):
         def cycles():
             try:
                 for i in range(n_cycles):
-                    yield CycleData(i, *(
+                    traces, clicked = (
                         np.frombuffer(src.read(dt.itemsize * math.prod(row)), dt)
                         .reshape(row) for src, dt, row in members
-                    ))
+                    )
+                    if not np.isfinite(traces).all():
+                        raise unreadable(
+                            f"cycle {i} of traces.npy holds a non-finite value"
+                        )
+                    yield CycleData(i, traces, clicked)
             except zipfile.BadZipFile as exc:
                 # a damaged member fails its CRC only once fully read
                 raise unreadable(exc) from None

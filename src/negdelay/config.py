@@ -23,12 +23,7 @@ from .medium import MediumSpec
 from .montecarlo import ShotConfig
 from .pulse import PulseSpec
 
-__all__ = [
-    "RunConfig",
-    "parse_config",
-    "load_config",
-    "default_config",
-]
+__all__ = ["RunConfig", "load_config", "default_config"]
 
 SCHEMA_VERSION = 3
 
@@ -192,8 +187,8 @@ def _hash_values(vals: dict) -> str:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(text)
 

@@ -39,8 +39,6 @@ from .medium import MediumSpec, conversion_factor, group_delay, transfer_functio
 from .pulse import SampledSignal, grid_frequencies, transmission_probability
 
 __all__ = [
-    "ExcitationTrace",
-    "ExcitationReport",
     "excited_population",
     "mean_excitation_time",
     "transmitted_excitation_time",

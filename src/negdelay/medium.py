@@ -34,13 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = [
-    "MediumSpec",
-    "lineshape",
-    "transfer_function",
-    "group_delay",
-    "conversion_factor",
-]
+__all__ = ["MediumSpec", "transfer_function", "group_delay", "conversion_factor"]
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,12 @@ from .pulse import (
 __all__ = [
     "ShotConfig",
     "CycleData",
-    "PerPhotonShapes",
-    "DetectionCalibration",
     "MODES",
     "bin_average",
     "fine_signal",
     "derive_shapes",
     "calibrate_detection",
     "kappa_enumeration",
-    "simulate_cycle",
     "run_campaign",
 ]
 

@@ -66,15 +66,7 @@ from .errors import ConfigError, ConvergenceError
 from .medium import MediumSpec
 from .pulse import SampledSignal
 
-__all__ = [
-    "CollisionModel",
-    "WeakTrace",
-    "MAX_OD_PER_ATOM",
-    "calibrate_rotation",
-    "build_model",
-    "max_step",
-    "weak_excitation_trace",
-]
+__all__ = ["max_step", "weak_excitation_trace"]
 
 #: hard ceiling on the time step relative to the linewidth
 STEP_LIFETIME_FRACTION = 0.02
@@ -85,15 +77,6 @@ STEP_SIGMA_FRACTION = 0.05
 MAX_OD_PER_ATOM = 0.25
 #: zero padding of the FFT frame past the pulse grid, in natural lifetimes
 PAD_LIFETIMES = 48
-
-
-@dataclass(frozen=True)
-class CollisionModel:
-    """Calibrated discrete-emitter chain for one medium and step size."""
-
-    dt: float
-    theta: float
-    gamma_side: float
 
 
 @dataclass(frozen=True)
@@ -161,7 +144,8 @@ def calibrate_rotation(
 
 def build_model(
     medium: MediumSpec, dt: float, n_atoms: int = 64
-) -> CollisionModel:
+) -> tuple[float, float]:
+    """Rotation angle and side rate of the chain for one step size."""
     if n_atoms < 1:
         raise ConvergenceError("need at least one emitter")
     if dt <= 0.0:
@@ -178,8 +162,7 @@ def build_model(
             f"per-emitter depth {od_per_atom:.3g} exceeds the "
             f"weak-extinction bound {MAX_OD_PER_ATOM}; increase n_atoms"
         )
-    theta, gamma_side = calibrate_rotation(od_per_atom, medium.gamma, dt)
-    return CollisionModel(dt=dt, theta=theta, gamma_side=gamma_side)
+    return calibrate_rotation(od_per_atom, medium.gamma, dt)
 
 
 def max_step(medium: MediumSpec, sigma_rms: float) -> float:
@@ -205,10 +188,10 @@ def weak_excitation_trace(
     pulse builders: residual emitter population at the last sample above
     1e-6 is rejected as an under-resolved ringdown.
     """
-    model = build_model(medium, sig.dt, n_atoms=n_atoms)
-    c = np.cos(model.theta)
-    s = np.sin(model.theta) * np.exp(-model.gamma_side * model.dt / 4.0)
-    p = c * np.exp(-model.gamma_side * model.dt / 2.0)
+    theta, gamma_side = build_model(medium, sig.dt, n_atoms=n_atoms)
+    c = np.cos(theta)
+    s = np.sin(theta) * np.exp(-gamma_side * sig.dt / 4.0)
+    p = c * np.exp(-gamma_side * sig.dt / 2.0)
     q = -1j * s
 
     n = sig.n

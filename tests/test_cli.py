@@ -228,6 +228,28 @@ def test_damaged_trace_data_exits_2(tmp_path, capsys):
         _analyze_fails(tmp_path, capsys, cfg, damaged)
 
 
+def _rewritten_log(tmp_path, cfg, edit):
+    """A simulated log whose traces and click flags are replaced by the
+    arrays ``edit`` returns for them."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    log = sim / "shots.npz"
+    with zipfile.ZipFile(log) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    arrays = {
+        name: np.load(io.BytesIO(members[f"{name}.npy"]))
+        for name in ("traces", "clicked")
+    }
+    for name, arr in edit(arrays).items():
+        buf = io.BytesIO()
+        np.save(buf, arr)
+        members[f"{name}.npy"] = buf.getvalue()
+    with zipfile.ZipFile(log, "w") as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+    return log
+
+
 @pytest.mark.parametrize(
     "cut",
     [
@@ -244,23 +266,23 @@ def test_damaged_trace_data_exits_2(tmp_path, capsys):
 )
 def test_trace_shape_mismatch_exits_2(tmp_path, capsys, cut):
     cfg = _cfg(tmp_path, TINY)
-    sim = tmp_path / "sim"
-    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
-    log = sim / "shots.npz"
-    with zipfile.ZipFile(log) as zf:
-        members = {name: zf.read(name) for name in zf.namelist()}
-    arrays = {
-        name: np.load(io.BytesIO(members[f"{name}.npy"]))
-        for name in ("traces", "clicked")
-    }
-    for name, arr in cut(arrays).items():
-        buf = io.BytesIO()
-        np.save(buf, arr)
-        members[f"{name}.npy"] = buf.getvalue()
-    with zipfile.ZipFile(log, "w") as zf:
-        for name, blob in members.items():
-            zf.writestr(name, blob)
-    _analyze_fails(tmp_path, capsys, cfg, log)
+    _analyze_fails(tmp_path, capsys, cfg, _rewritten_log(tmp_path, cfg, cut))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_trace_sample_exits_2(tmp_path, capsys, value):
+    """One non-finite sample is refused as the log is read, not left to
+    fail the statistics downstream with a misleading message."""
+
+    def poison(arrays):
+        traces = arrays["traces"].copy()
+        traces[3, 5, 7] = value
+        return {"traces": traces}
+
+    cfg = _cfg(tmp_path, TINY)
+    log = _rewritten_log(tmp_path, cfg, poison)
+    msg = f"cannot read shot log {log}: cycle 3 of traces.npy holds a non-finite"
+    _analyze_fails(tmp_path, capsys, cfg, log, msg=msg)
 
 
 def _traced_peak(argv):
@@ -573,6 +595,19 @@ def test_bad_config_exits_2(tmp_path, capsys, text, msg):
     assert rc == 2
     assert msg in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    """A config file is read as UTF-8 whatever the locale; a byte that
+    does not decode is an unreadable file, not a crash."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"medium.od = 4\n\xff\n")
+    out = tmp_path / "x"
+    assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {cfg}")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

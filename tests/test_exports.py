@@ -1,10 +1,14 @@
-"""Public surface: every ``__all__`` entry resolves, and names and
-fields that were removed from the package stay removed."""
+"""Public surface: every ``__all__`` entry resolves and has a caller in
+the CLI pipeline or the acceptance gate, and names and fields that were
+removed from the package stay removed."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import negdelay
 from negdelay.analysis import GaussianFit, IntegralResult
@@ -18,8 +22,10 @@ from negdelay.montecarlo import (
     run_campaign,
     simulate_cycle,
 )
-from negdelay.oracle import CollisionModel
 from negdelay.pulse import PulseSpec
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "negdelay"
 
 MODULES = ["negdelay"] + [
     f"negdelay.{info.name}" for info in pkgutil.iter_modules(negdelay.__path__)
@@ -50,6 +56,18 @@ REMOVED = (
     "PostSelectionError",
     "propagate_error",
     "DEFAULT_SIGMA0_OVER_AREA",
+    "CollisionModel",
+)
+
+#: the package root's former re-exports: each lives in its own module
+ROOT_REEXPORTS = (
+    "NegdelayError",
+    "ConfigError",
+    "ConvergenceError",
+    "AnalysisError",
+    "MediumSpec",
+    "PulseSpec",
+    "SampledSignal",
 )
 
 #: deleted fields and methods: stored or computed, but read by nothing
@@ -61,7 +79,6 @@ REMOVED_FIELDS = {
     PerPhotonShapes: ("dt",),
     IntegralResult: ("window", "jacobian"),
     ExcitationTrace: ("axis", "t0"),
-    CollisionModel: ("gamma_forward", "n_atoms"),
     GaussianFit: ("amplitude_err", "width_err"),
     RunConfig: ("seed",),
 }
@@ -76,6 +93,8 @@ def test_all_resolves_and_removed_names_stay_gone():
         stale += [f"{name}.{n}" for n in REMOVED if hasattr(module, n)]
     assert missing == []
     assert stale == []
+    assert negdelay.__all__ == ["__version__"]
+    assert [n for n in ROOT_REEXPORTS if hasattr(negdelay, n)] == []
     for cls, names in REMOVED_FIELDS.items():
         fields = {f.name for f in dataclasses.fields(cls)}
         for name in names:
@@ -87,3 +106,66 @@ def test_all_resolves_and_removed_names_stay_gone():
     assert all(
         f.default is dataclasses.MISSING for f in dataclasses.fields(ShotConfig)
     )
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _named(tree):
+    """Every identifier a module names: bare, as an attribute, imported."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _from_root(tree):
+    """Names a module imports from the package root itself."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in ((None, 1), ("negdelay", 0))
+        for alias in node.names
+    }
+
+
+def _script_targets():
+    """(module, attribute) of each ``[project.scripts]`` entry point."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'"([\w.]+):(\w+)"', section))
+
+
+def test_every_export_has_a_pipeline_caller():
+    # a caller is another module of the package (the root's re-exports
+    # call nothing), the acceptance gate, or a console-script entry point
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text("utf-8"))
+    modules = {m: t for m, t in trees.items() if m != "__init__"}
+    scripts = _script_targets()
+    orphans = []
+    for name, tree in trees.items():
+        if name == "__init__":
+            callers = _from_root(gate).union(*map(_from_root, modules.values()))
+        else:
+            callers = _named(gate).union(
+                *(_named(t) for m, t in modules.items() if m != name)
+            )
+            callers |= {a for m, a in scripts if m == f"negdelay.{name}"}
+        orphans += [f"{name}.{n}" for n in _exports(tree) if n not in callers]
+    assert not orphans, f"exported with no pipeline or gate caller: {orphans}"

@@ -97,8 +97,8 @@ def test_matches_spectral_route_at_default_point(run, fine_sig, weak):
 
 
 def test_chain_conserves_probability(run, fine_sig, weak):
-    model = build_model(run.medium, fine_sig.dt)
-    total = weak.transmission + model.gamma_side * weak.tau_unconditioned()
+    _, gamma_side = build_model(run.medium, fine_sig.dt)
+    total = weak.transmission + gamma_side * weak.tau_unconditioned()
     assert abs(total - 1.0) < 2e-6
 
 
@@ -174,9 +174,9 @@ def _step_loop_trace(sig, medium, n_atoms=64):
     every emitter state, then the adjoint sweep against the stored states.
 
     Returns (W, N_e, T) on the same grid as weak_excitation_trace."""
-    model = build_model(medium, sig.dt, n_atoms=n_atoms)
-    c, s = np.cos(model.theta), np.sin(model.theta)
-    hd = np.exp(-model.gamma_side * model.dt / 4.0)
+    theta, gamma_side = build_model(medium, sig.dt, n_atoms=n_atoms)
+    c, s = np.cos(theta), np.sin(theta)
+    hd = np.exp(-gamma_side * sig.dt / 4.0)
     bins = (sig.samples * np.sqrt(sig.dt)).tolist()
     n = len(bins)
 
@@ -231,10 +231,10 @@ def _single_row_trace(sig, medium, n_atoms=64):
     rows of one array.
 
     Returns (W, N_e, T) on the same grid as weak_excitation_trace."""
-    model = build_model(medium, sig.dt, n_atoms=n_atoms)
-    c = np.cos(model.theta)
-    s = np.sin(model.theta) * np.exp(-model.gamma_side * model.dt / 4.0)
-    p = c * np.exp(-model.gamma_side * model.dt / 2.0)
+    theta, gamma_side = build_model(medium, sig.dt, n_atoms=n_atoms)
+    c = np.cos(theta)
+    s = np.sin(theta) * np.exp(-gamma_side * sig.dt / 4.0)
+    p = c * np.exp(-gamma_side * sig.dt / 2.0)
     q = -1j * s
 
     n = sig.n
