@@ -1,18 +1,23 @@
 """Discrete-emitter chain: calibration exactness, agreement with the
-spectral route, conservation, grid invariances, parity of the FFT
-cascade with a bin-by-bin step loop, and bitwise parity of its two-row
-inverse transform with one single-row transform per direction."""
+spectral route, conservation, grid invariances, the FFT frame length,
+parity of the FFT cascade with a bin-by-bin step loop, and bitwise parity
+of its two-row inverse transform with one single-row transform per
+direction."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negdelay.errors import ConfigError, ConvergenceError
 from negdelay.excitation import spectral_report
 from negdelay.montecarlo import fine_signal
 from negdelay.oracle import (
     MAX_OD_PER_ATOM,
+    PAD_LIFETIMES,
     STEP_LIFETIME_FRACTION,
     STEP_SIGMA_FRACTION,
     _frame_length,
@@ -168,6 +173,41 @@ def test_decimated_trace_keeps_the_integral(weak):
     assert abs(coarse - full) / abs(full) < 0.01
 
 
+def _is_5_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 1 << 18),
+    gamma=st.floats(1e5, 1e10),
+    gamma_dt=st.floats(1e-4, STEP_LIFETIME_FRACTION),
+)
+def test_frame_length_is_smallest_fast_length(n, gamma, gamma_dt):
+    """The frame is 5-smooth, holds the grid and PAD_LIFETIMES of
+    ringdown, and never exceeds the next power of two, which keeps the
+    2**21-point frame bound stated at montecarlo.MAX_GRID_POINTS."""
+    dt = gamma_dt / gamma
+    need = n + math.ceil(PAD_LIFETIMES / (gamma * dt))
+    size = _frame_length(n, gamma, dt)
+    assert _is_5_smooth(size)
+    assert size >= need
+    assert size <= 1 << (need - 1).bit_length()
+    # smallest: no 5-smooth length lies between the need and the frame
+    assert not any(_is_5_smooth(k) for k in range(need, size))
+
+
+def test_frame_length_at_the_theory_pulses(run):
+    sizes = []
+    for sigma_ns in (5.0, 10.0, 36.0, 150.0):
+        sig = fine_signal(run.medium, PulseSpec(sigma_rms=sigma_ns * 1e-9))
+        sizes.append(_frame_length(sig.n, run.medium.gamma, sig.dt))
+    assert sizes == [15000, 13122, 9216, 11520]
+
+
 def _step_loop_trace(sig, medium, n_atoms=64):
     """Reference collision model, stepped bin by bin as the
     ``negdelay.oracle`` docstring writes it: a forward sweep that stores
@@ -206,7 +246,7 @@ def _step_loop_trace(sig, medium, n_atoms=64):
 
 
 @pytest.mark.parametrize(
-    "sigma_ns, od", [(10.0, 4.0), (36.0, 3.0), (10.0, 8.0)]
+    "sigma_ns, od", [(10.0, 4.0), (36.0, 3.0), (10.0, 8.0), (5.0, 4.0)]
 )
 def test_fft_cascade_matches_step_loop(run, sigma_ns, od):
     m = replace(run.medium, od=od)
@@ -264,6 +304,7 @@ def _single_row_trace(sig, medium, n_atoms=64):
     ne = np.zeros(n + 1)
     weak = np.zeros(n + 1)
     state = np.empty(n, np.complex128)
+    hinv = 1.0 / h
     for _ in range(n_atoms):
         np.fft.ifft(fa, out=buf)
         np.conjugate(buf[1 : n + 1], out=state)
@@ -271,7 +312,7 @@ def _single_row_trace(sig, medium, n_atoms=64):
         np.fft.ifft(fb, out=buf)
         weak[1:n] += (buf[n - 2 :: -1] * state[:-1]).real
         fa *= h
-        fb /= h
+        fb *= hinv
     weak /= dnorm
     return weak, ne, transmission
 
