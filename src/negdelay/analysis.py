@@ -1,4 +1,4 @@
-"""Post-selection statistics: averaging, windows, integrals, fits.
+"""Post-selection statistics: averaging, windows, integrals, timestamp alignment.
 
 The estimator of the conditional phase trace is built per atom cycle:
 within one cycle, average the clicked and unclicked shots separately and
@@ -11,7 +11,8 @@ Integrals use the trapezoidal rule over an index window chosen from the
 theory trace (outermost crossings of a fraction of its absolute peak),
 and the error bar follows from the covariance through sigma^2 = J^T M J
 with J the trapezoid weights. A cycle-resampling bootstrap provides an
-independent check of that propagation.
+independent check of that propagation. Timestamps align by the difference
+of two full-record centroids, whose error follows the same propagation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnalysisError, ConvergenceError
+from .errors import AnalysisError
 
 __all__ = [
     "accumulate",
@@ -73,16 +74,6 @@ class IntegralResult:
     def __post_init__(self):
         if self.sigma < 0.0:
             raise AnalysisError("sigma must be non-negative")
-
-
-@dataclass(frozen=True)
-class GaussianFit:
-    amplitude: float
-    center: float
-    width: float
-    center_err: float
-    rms_residual: float
-    n_iterations: int
 
 
 class Accumulator:
@@ -219,15 +210,8 @@ def integrate_trapz(
     return float(jac @ trace), jac
 
 
-def integral_with_error(
-    trace: np.ndarray, cov: np.ndarray, window: tuple[int, int], dt: float
-) -> IntegralResult:
-    """Trapezoidal integral over the window with sigma = sqrt(J^T M J),
-    M the window's block of ``cov``; only float-noise negatives clamp."""
-    value, jac = integrate_trapz(trace, window, dt)
-    lo, hi = window
-    jac = jac[lo : hi + 1]
-    cov = np.asarray(cov, dtype=np.float64)[lo : hi + 1, lo : hi + 1]
+def _propagate(jac: np.ndarray, cov: np.ndarray) -> float:
+    """sqrt(J^T M J); only float-noise negatives clamp."""
     if cov.shape != (jac.size, jac.size):
         raise AnalysisError(
             f"covariance shape {cov.shape} does not match jacobian {jac.size}"
@@ -236,7 +220,18 @@ def integral_with_error(
     scale = float(np.sum(np.abs(jac)) ** 2 * np.max(np.abs(cov), initial=0.0))
     if var < -1e-14 * scale:
         raise AnalysisError(f"negative variance {var:.3e} beyond rounding")
-    return IntegralResult(value=value, sigma=float(np.sqrt(max(var, 0.0))))
+    return float(np.sqrt(max(var, 0.0)))
+
+
+def integral_with_error(
+    trace: np.ndarray, cov: np.ndarray, window: tuple[int, int], dt: float
+) -> IntegralResult:
+    """Trapezoidal integral over the window with sigma = sqrt(J^T M J),
+    M the window's block of ``cov``."""
+    value, jac = integrate_trapz(trace, window, dt)
+    lo, hi = window
+    cov = np.asarray(cov, dtype=np.float64)[lo : hi + 1, lo : hi + 1]
+    return IntegralResult(value=value, sigma=_propagate(jac[lo : hi + 1], cov))
 
 
 def ratio_estimate(
@@ -253,111 +248,43 @@ def ratio_estimate(
     return phiT_integral.value / denom, phiT_integral.sigma / abs(denom)
 
 
-def fit_gaussian(trace: np.ndarray, dt: float) -> GaussianFit:
-    """Damped least-squares fit of a exp(-(t - c)^2 / (2 w^2)).
-
-    t runs from 0 in steps of dt, so ``center`` is measured from the
-    first sample; the caller owns any axis offset. Initialization takes
-    the (earliest) extremum of |trace| and its second moment; iteration
-    stops when the largest relative parameter step drops below 1e-8.
-    """
+def _centroid(
+    trace: np.ndarray, dt: float, t0: float
+) -> tuple[float, np.ndarray]:
+    """Full-record first moment sum(w t y) / sum(w y), w the trapezoid
+    weights, and its derivative in the samples, w (t - c) / sum(w y)."""
     y = np.asarray(trace, dtype=np.float64)
-    if y.size < 4:
-        raise AnalysisError("need at least 4 samples to fit a Gaussian")
-    if np.ptp(y) == 0.0:
-        raise AnalysisError("flat trace: nothing to fit")
-    t = dt * np.arange(y.size)
-    i0 = int(np.argmax(np.abs(y)))
-    a, c = y[i0], t[i0]
-    wgt = np.abs(y)
-    w = float(np.sqrt(np.sum(wgt * (t - c) ** 2) / np.sum(wgt)))
-    w = max(w, dt)
-
-    def model_and_jac(a, c, w):
-        g = np.exp(-((t - c) ** 2) / (2.0 * w**2))
-        m = a * g
-        jac = np.column_stack(
-            (g, m * (t - c) / w**2, m * (t - c) ** 2 / w**3)
-        )
-        return m, jac
-
-    m, jac = model_and_jac(a, c, w)
-    sse = float(np.sum((m - y) ** 2))
-    damping = 1e-3
-    n_iter = 0
-    converged = False
-    for n_iter in range(1, 201):
-        r = m - y
-        jtj = jac.T @ jac
-        rhs = -jac.T @ r
-        try:
-            step = np.linalg.solve(
-                jtj + damping * np.diag(np.diag(jtj)), rhs
-            )
-        except np.linalg.LinAlgError:
-            damping *= 10.0
-            continue
-        a_n, c_n, w_n = a + step[0], c + step[1], w + step[2]
-        w_n = abs(w_n) if w_n != 0.0 else dt
-        m_n, jac_n = model_and_jac(a_n, c_n, w_n)
-        sse_n = float(np.sum((m_n - y) ** 2))
-        if sse_n <= sse:
-            rel = np.max(
-                np.abs(step)
-                / np.maximum(np.abs([a_n, c_n, w_n]), 1e-300)
-            )
-            a, c, w, m, jac, sse = a_n, c_n, w_n, m_n, jac_n, sse_n
-            damping = max(damping / 3.0, 1e-12)
-            if rel < 1e-8:
-                converged = True
-                break
-        else:
-            damping *= 10.0
-            if damping > 1e12:
-                break
-    rms = float(np.sqrt(sse / y.size))
-    if not converged:
-        raise ConvergenceError(
-            f"Gaussian fit did not converge in {n_iter} iterations "
-            f"(rms residual {rms:.3e}, amplitude {a:.3e})"
-        )
-    dof = y.size - 3
-    if dof > 0:
-        try:
-            cov_p = np.linalg.inv(jac.T @ jac) * (sse / dof)
-            center_err = np.sqrt(np.maximum(cov_p[1, 1], 0.0))
-        except np.linalg.LinAlgError:
-            center_err = np.inf
-    else:
-        center_err = 0.0
-    return GaussianFit(
-        amplitude=float(a),
-        center=float(c),
-        width=float(abs(w)),
-        center_err=float(center_err),
-        rms_residual=rms,
-        n_iterations=n_iter,
-    )
+    area, w = integrate_trapz(y, (0, y.size - 1), dt)
+    if area == 0.0:
+        raise AnalysisError("trace integrates to zero: no centroid")
+    t = t0 + dt * np.arange(y.size)
+    c = float(w @ (t * y)) / area
+    return c, w * (t - c) / area
 
 
 def time_align(
     exp_trace: np.ndarray,
+    exp_cov: np.ndarray,
     exp_dt: float,
     theory_trace: np.ndarray,
     theory_dt: float,
     exp_t0: float = 0.0,
     theory_t0: float = 0.0,
 ) -> tuple[float, float]:
-    """Time shift between the fitted Gaussian centers, exp minus theory.
+    """Time shift between the full-record centroids, exp minus theory.
 
-    The caller subtracts the shift from the experimental axis and must
-    apply it identically to every trace of the run. Returns the shift
-    and the quadrature-summed fit uncertainty, both in seconds.
+    The centroid assumes the whole pulse lies inside both records and the
+    two traces have the same shape. The theory trace enters as exact, as
+    phi_0 does in ``ratio_estimate``, so sigma = sqrt(J^T M J) with M the
+    experimental ``exp_cov`` and J the derivative of its centroid. The
+    caller subtracts the shift from the experimental axis and must apply
+    it identically to every trace of the run. Returns the shift and
+    sigma, both in seconds.
     """
-    fe = fit_gaussian(exp_trace, exp_dt)
-    ft = fit_gaussian(theory_trace, theory_dt)
-    shift = (exp_t0 + fe.center) - (theory_t0 + ft.center)
-    return shift, float(np.hypot(fe.center_err, ft.center_err))
+    c_exp, jac = _centroid(exp_trace, exp_dt, exp_t0)
+    c_theory, _ = _centroid(theory_trace, theory_dt, theory_t0)
+    cov = np.asarray(exp_cov, dtype=np.float64)
+    return c_exp - c_theory, _propagate(jac, cov)
 
 
 #: bytes of the index and gathered-value matrices bootstrap_sigma holds

@@ -294,25 +294,33 @@ def test_criterion_11_background_dilution(run, shapes):
     )
 
 
-def test_criterion_12_timestamp_offset(run, fine_sig):
-    phi0 = phi0_trace(fine_sig, run.medium)
+def test_criterion_12_timestamp_offset(run):
+    # the paper's four pulse durations; the traces are noiseless, so the
+    # experimental covariance is zero
     offset = 252e-9
     shot = run.shot
     edges = np.arange(shot.n_samples + 1) * shot.dt - shot.pulse_center
-    binned = bin_average(phi0, fine_sig.dt, fine_sig.t0, edges)
-    shift, err = time_align(
-        binned,
-        shot.dt,
-        phi0,
-        fine_sig.dt,
-        exp_t0=0.5 * shot.dt + offset,
-        theory_t0=fine_sig.t0 + shot.pulse_center,
-    )
-    dev = abs(shift - offset)
+    misses = []
+    for sigma_ns in (10.0, 18.0, 27.0, 36.0):
+        sig = fine_signal(run.medium, replace(run.pulse, sigma_rms=sigma_ns * 1e-9))
+        phi0 = phi0_trace(sig, run.medium)
+        binned = bin_average(phi0, sig.dt, sig.t0, edges)
+        shift, _ = time_align(
+            binned,
+            np.zeros((shot.n_samples, shot.n_samples)),
+            shot.dt,
+            phi0,
+            sig.dt,
+            exp_t0=0.5 * shot.dt + offset,
+            theory_t0=sig.t0 + shot.pulse_center,
+        )
+        misses.append(shift - offset)
+    worst = max(map(abs, misses))
     _report(
         12,
         "timestamp offset recovery",
-        dev < 8e-9,
-        f"injected 252 ns, recovered {shift * 1e9:.3f} +- {err * 1e9:.3f} "
-        f"ns, off by {dev * 1e9:.3f} ns (gate 8 ns)",
+        worst < 0.05e-9,
+        "injected 252 ns; missed by "
+        + ", ".join(f"{m * 1e9:+.4f}" for m in misses)
+        + " ns at 10/18/27/36 ns rms (gate 0.05 ns)",
     )

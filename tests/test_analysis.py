@@ -1,5 +1,5 @@
 """Post-selection statistics: accumulator algebra, windowed integrals,
-error propagation, fits, alignment and the bootstrap."""
+error propagation, timestamp alignment and the bootstrap."""
 
 import tracemalloc
 
@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from negdelay import analysis
 from negdelay.analysis import (
     Accumulator,
-    GaussianFit,
     IntegralResult,
     PostSelectedResult,
     accumulate,
     bootstrap_sigma,
-    fit_gaussian,
     integral_with_error,
     integrate_trapz,
     integration_window,
@@ -298,50 +296,54 @@ def test_ratio_estimate_zero_denominator():
         ratio_estimate(integral, np.array([-1.0, 1.0]), 1.0)
 
 
-# -------------------------------------------------------------- fits
-
-def test_gaussian_fit_exact_recovery():
-    dt = 16e-9
-    t = dt * np.arange(36)
-    amp, center, width = -3.7, 110e-9, 17e-9
-    y = amp * np.exp(-((t - center) ** 2) / (2.0 * width**2))
-    fit = fit_gaussian(y, dt)
-    assert fit.amplitude == pytest.approx(amp, rel=1e-6)
-    assert fit.center == pytest.approx(center, rel=1e-6)
-    assert fit.width == pytest.approx(width, rel=1e-6)
-    assert fit.rms_residual < 1e-9 * abs(amp)
-    assert fit.n_iterations >= 1
-
-
-def test_gaussian_fit_with_noise():
-    dt = 16e-9
-    t = dt * np.arange(36)
-    amp, center, width = 2.0, 260e-9, 40e-9
-    rng = np.random.default_rng(3)
-    y = amp * np.exp(-((t - center) ** 2) / (2.0 * width**2))
-    y = y + 0.05 * amp * rng.standard_normal(t.size)
-    fit = fit_gaussian(y, dt)
-    assert abs(fit.center - center) < dt
-    assert abs(fit.amplitude - amp) < 0.15 * amp
-    assert fit.center_err > 0.0
-
-
-def test_gaussian_fit_guards():
-    with pytest.raises(AnalysisError, match="flat trace"):
-        fit_gaussian(np.full(10, 0.3), 1e-9)
-    with pytest.raises(AnalysisError, match="at least 4"):
-        fit_gaussian(np.array([0.0, 1.0, 0.0]), 1e-9)
-
+# ----------------------------------------------------------- alignment
 
 def test_time_align_recovers_injected_shift():
     exp_dt, th_dt = 16e-9, 2e-9
     te = exp_dt * np.arange(36)
     tt = th_dt * np.arange(200)
-    exp = 0.8 * np.exp(-((te - 502e-9) ** 2) / (2.0 * (40e-9) ** 2))
+    # the whole pulse lies inside both records, as a centroid needs
+    exp = 0.8 * np.exp(-((te - 350e-9) ** 2) / (2.0 * (40e-9) ** 2))
     theory = -0.5 * np.exp(-((tt - 150e-9) ** 2) / (2.0 * (30e-9) ** 2))
-    shift, err = time_align(exp, exp_dt, theory, th_dt, exp_t0=-100e-9)
-    assert shift == pytest.approx(252e-9, rel=1e-6)
-    assert err >= 0.0
+    shift, err = time_align(
+        exp, np.zeros((36, 36)), exp_dt, theory, th_dt, exp_t0=-100e-9
+    )
+    assert shift == pytest.approx(100e-9, rel=1e-6)
+    assert err == 0.0
+
+
+def test_time_align_sigma_matches_scatter():
+    # SNR 10: unit peak under white noise of sd 0.1 per sample
+    dt = 16e-9
+    t = dt * np.arange(36)
+    clean = np.exp(-((t - 280e-9) ** 2) / (2.0 * (40e-9) ** 2))
+    cov = 0.01 * np.eye(36)
+    rng = np.random.default_rng(5)
+    out = np.array(
+        [
+            time_align(clean + 0.1 * rng.standard_normal(36), cov, dt, clean, dt)
+            for _ in range(4000)
+        ]
+    )
+    assert abs(np.median(out[:, 0])) < 1e-9
+    assert np.median(out[:, 1]) == pytest.approx(np.std(out[:, 0]), rel=0.05)
+
+
+def test_time_align_rejects_zero_area_trace():
+    dt = 1e-9
+    bump = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
+    with pytest.raises(AnalysisError, match="integrates to zero"):
+        time_align(np.array([-1.0, 0.0, 1.0]), np.eye(3), dt, bump, dt)
+    with pytest.raises(AnalysisError, match="integrates to zero"):
+        time_align(bump, np.eye(5), dt, np.zeros(5), dt)
+
+
+def test_time_align_rejects_misshapen_cov():
+    dt = 1e-9
+    bump = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
+    for cov in (np.eye(4), np.eye(6), np.ones(5)):
+        with pytest.raises(AnalysisError, match="shape"):
+            time_align(bump, cov, dt, bump, dt)
 
 
 # ----------------------------------------------------------- bootstrap

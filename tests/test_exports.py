@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import negdelay
-from negdelay.analysis import GaussianFit, IntegralResult
+from negdelay.analysis import IntegralResult
 from negdelay.config import RunConfig
 from negdelay.excitation import ExcitationTrace
 from negdelay.medium import MediumSpec
@@ -57,6 +57,8 @@ REMOVED = (
     "propagate_error",
     "DEFAULT_SIGMA0_OVER_AREA",
     "CollisionModel",
+    "fit_gaussian",
+    "GaussianFit",
 )
 
 #: the package root's former re-exports: each lives in its own module
@@ -79,7 +81,6 @@ REMOVED_FIELDS = {
     PerPhotonShapes: ("dt",),
     IntegralResult: ("window", "jacobian"),
     ExcitationTrace: ("axis", "t0"),
-    GaussianFit: ("amplitude_err", "width_err"),
     RunConfig: ("seed",),
 }
 
