@@ -4,8 +4,10 @@ The estimator of the conditional phase trace is built per atom cycle:
 within one cycle, average the clicked and unclicked shots separately and
 subtract. Cycles are then treated as i.i.d. samples of that difference,
 which makes the covariance of the final mean a plain scatter estimate
-and keeps the accumulation a commutative merge of
-(count, sum, sum of outer products) partials, safe to parallelize.
+and keeps the accumulation a commutative merge of (count, mean, centred
+sum of outer products) partials, safe to parallelize. A cycle enters as
+its two class sums and counts (``class_sums``), which the sampler forms
+where it draws the cycle and the shot-log reader forms from the traces.
 
 Integrals use the trapezoidal rule over an index window chosen from the
 theory trace (outermost crossings of a fraction of its absolute peak),
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import AnalysisError
 
 __all__ = [
+    "class_sums",
     "accumulate",
     "integration_window",
     "integrate_trapz",
@@ -76,12 +79,31 @@ class IntegralResult:
             raise AnalysisError("sigma must be non-negative")
 
 
+def class_sums(
+    traces: np.ndarray, clicked: np.ndarray
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Per-shot traces reduced to what the accumulator reads: the summed
+    traces of the clicked and of the silent shots, as rows 0 and 1, and
+    the two class sizes. A sum divided by its count has the bits of the
+    class's ``mean(axis=0)``."""
+    traces = np.asarray(traces, dtype=np.float64)
+    clicked = np.asarray(clicked, dtype=bool)
+    sums = np.stack([traces[clicked].sum(axis=0), traces[~clicked].sum(axis=0)])
+    n_click = int(np.count_nonzero(clicked))
+    return sums, (n_click, clicked.size - n_click)
+
+
 class Accumulator:
     """Mergeable per-cycle statistics of the click/no-click difference.
 
-    Stores first and second moments of the per-cycle difference traces,
-    plus per-cycle class means; merging two accumulators adds the sums,
-    so reduction order only matters at float rounding level.
+    Holds the count, mean and centred sum of outer products (M2) of the
+    per-cycle difference traces, updated one cycle at a time (Welford)
+    and merged pairwise (Chan, Golub & LeVeque, Am. Stat. 37, 242
+    (1983)), so no large mean is ever subtracted from a large second
+    moment; plus the sums of the per-cycle class means. Every M2 term is
+    a non-negative multiple of an outer product d d^T, so M2 is exactly
+    symmetric with a non-negative diagonal. Reduction order matters only
+    at float rounding level.
     """
 
     def __init__(self, n_samples: int, keep_differences: bool = False):
@@ -89,32 +111,32 @@ class Accumulator:
         self.n_cycles = 0
         self.n_click = 0
         self.n_noclick = 0
-        self.sum_diff = np.zeros(n_samples)
-        self.sum_outer = np.zeros((n_samples, n_samples))
+        self.mean_diff = np.zeros(n_samples)
+        self.m2 = np.zeros((n_samples, n_samples))
         self.sum_mean_c = np.zeros(n_samples)
         self.sum_mean_nc = np.zeros(n_samples)
         self.differences: list[np.ndarray] | None = (
             [] if keep_differences else None
         )
 
-    def add_cycle(self, traces: np.ndarray, clicked: np.ndarray) -> None:
-        traces = np.asarray(traces, dtype=np.float64)
-        clicked = np.asarray(clicked, dtype=bool)
-        n_c = int(clicked.sum())
-        n_nc = clicked.size - n_c
+    def add_cycle(self, sums: np.ndarray, counts: tuple[int, int]) -> None:
+        """One cycle from its class sums (clicked row 0, silent row 1)
+        and class sizes, as ``class_sums`` returns them."""
+        n_c, n_nc = counts
         if n_c == 0 or n_nc == 0:
             raise AnalysisError(
                 f"cycle {self.n_cycles}: "
                 f"{'click' if n_c == 0 else 'no-click'} class is empty"
             )
-        mean_c = traces[clicked].mean(axis=0)
-        mean_nc = traces[~clicked].mean(axis=0)
+        mean_c = sums[0] / n_c
+        mean_nc = sums[1] / n_nc
         diff = mean_c - mean_nc
         self.n_cycles += 1
         self.n_click += n_c
         self.n_noclick += n_nc
-        self.sum_diff += diff
-        self.sum_outer += np.outer(diff, diff)
+        delta = diff - self.mean_diff
+        self.mean_diff += delta / self.n_cycles
+        self.m2 += ((self.n_cycles - 1) / self.n_cycles) * np.outer(delta, delta)
         self.sum_mean_c += mean_c
         self.sum_mean_nc += mean_nc
         if self.differences is not None:
@@ -129,11 +151,15 @@ class Accumulator:
                 "cannot merge an accumulator that keeps differences with "
                 "one that does not"
             )
-        self.n_cycles += other.n_cycles
+        n_a, n_b = self.n_cycles, other.n_cycles
+        n = n_a + n_b
+        if n_b:
+            delta = other.mean_diff - self.mean_diff
+            self.mean_diff += delta * (n_b / n)
+            self.m2 += other.m2 + (n_a * n_b / n) * np.outer(delta, delta)
+        self.n_cycles = n
         self.n_click += other.n_click
         self.n_noclick += other.n_noclick
-        self.sum_diff += other.sum_diff
-        self.sum_outer += other.sum_outer
         self.sum_mean_c += other.sum_mean_c
         self.sum_mean_nc += other.sum_mean_nc
         if self.differences is not None:
@@ -145,18 +171,12 @@ class Accumulator:
             raise AnalysisError(
                 "need at least two cycles to estimate the covariance"
             )
-        mean_d = self.sum_diff / n
-        # scatter of the per-cycle differences, scaled to the mean
-        scatter = self.sum_outer - n * np.outer(mean_d, mean_d)
-        cov = scatter / (n * (n - 1))
-        cov = 0.5 * (cov + cov.T)
-        d = np.diag(cov).copy()
-        np.fill_diagonal(cov, np.where(d > 0.0, d, 0.0))
         return PostSelectedResult(
             phi_C=self.sum_mean_c / n,
             phi_NC=self.sum_mean_nc / n,
-            phi_T=mean_d,
-            cov=cov,
+            phi_T=self.mean_diff.copy(),
+            # scatter of the per-cycle differences, scaled to the mean
+            cov=self.m2 / (n * (n - 1)),
             n_click=self.n_click,
             n_noclick=self.n_noclick,
             n_cycles=n,
@@ -164,7 +184,8 @@ class Accumulator:
 
 
 def accumulate(cycles, keep_differences: bool = False):
-    """Reduce an iterable of objects with .traces and .clicked arrays.
+    """Reduce an iterable of objects with .sums and .counts, as
+    ``class_sums`` returns them.
 
     Returns a PostSelectedResult, or (result, differences matrix) when
     keep_differences is set.
@@ -172,8 +193,8 @@ def accumulate(cycles, keep_differences: bool = False):
     acc: Accumulator | None = None
     for cyc in cycles:
         if acc is None:
-            acc = Accumulator(cyc.traces.shape[1], keep_differences)
-        acc.add_cycle(cyc.traces, cyc.clicked)
+            acc = Accumulator(cyc.sums.shape[1], keep_differences)
+        acc.add_cycle(cyc.sums, cyc.counts)
     if acc is None:
         raise AnalysisError("no cycles to accumulate")
     res = acc.result()

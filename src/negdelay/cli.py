@@ -28,6 +28,7 @@ from numpy.lib import format as npy
 from . import __version__
 from .analysis import (
     accumulate,
+    class_sums,
     integral_with_error,
     integration_window,
     ratio_estimate,
@@ -140,7 +141,8 @@ def _write_log(
 @contextmanager
 def _read_log(path: Path, run: RunConfig):
     """Check a shot log against ``run`` and yield its meta and its cycles,
-    streamed one at a time from ``traces.npy`` and ``clicked.npy``."""
+    streamed one at a time from ``traces.npy`` and ``clicked.npy`` and
+    reduced to their class sums."""
 
     def unreadable(exc) -> ConfigError:
         return ConfigError(f"cannot read shot log {path}: {exc}")
@@ -201,7 +203,7 @@ def _read_log(path: Path, run: RunConfig):
                         raise unreadable(
                             f"cycle {i} of traces.npy holds a non-finite value"
                         )
-                    yield CycleData(i, traces, clicked)
+                    yield CycleData(i, clicked, *class_sums(traces, clicked))
             except zipfile.BadZipFile as exc:
                 # a damaged member fails its CRC only once fully read
                 raise unreadable(exc) from None
@@ -280,7 +282,13 @@ def _cmd_theory(run: RunConfig, out: Path, args) -> int:
 def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
     shapes, cal = _prepare(run)
     cycles = run_campaign(
-        args.seed, run.n_cycles, shapes, run.shot, cal, jobs=args.jobs
+        args.seed,
+        run.n_cycles,
+        shapes,
+        run.shot,
+        cal,
+        jobs=args.jobs,
+        traces=True,
     )
     _write_log(out / "shots.npz", run, args.seed, "normal", cycles, args.truth)
     return 0

@@ -13,6 +13,15 @@ with per-photon shapes derived from the theory modules and i.i.d.
 Gaussian noise per sample. Everything downstream (post-selection
 averaging, backgrounds, systematics injection) consumes these shots.
 
+The analysis reads only each cycle's two class sums (clicked and silent
+shots) and counts, so a cycle is reduced to them where it is drawn:
+because the trace is linear in the fates, and the wobble and low-pass
+are linear too, a class sum is built from the summed fates and the
+summed noise rows without forming a trace. Only ``simulate``, which logs
+per-shot traces, asks for them (``traces=True``). Both outputs consume
+the same draws in the same order: the draw-order contract of
+``simulate_cycle`` covers them both.
+
 Poisson conditioning is the one subtlety: clicking selects shots with
 more transmitted photons, so the click/no-click trace difference is not
 phi_T1 but kappa * phi_T1 with
@@ -111,12 +120,18 @@ class ShotConfig:
 class CycleData:
     """One atom cycle of shots, kept as arrays for accumulation.
 
-    The sampler fills in the photon fates; a cycle read back from a shot
-    log carries only its traces and click flags, and None for the fates."""
+    ``sums`` holds the summed traces of the clicked shots (row 0) and of
+    the silent shots (row 1), ``counts`` the size of each class; the
+    accumulator reads only these. A cycle drawn with ``traces=True``
+    carries the per-shot traces instead, and a cycle read back from a
+    shot log carries its sums and click flags, with None for the fates.
+    """
 
     cycle: int
-    traces: np.ndarray  # (shots, n_samples)
     clicked: np.ndarray  # (shots,) bool
+    sums: np.ndarray | None = None  # (2, n_samples)
+    counts: tuple[int, int] | None = None
+    traces: np.ndarray | None = None  # (shots, n_samples)
     n_transmitted: np.ndarray | None = None
     n_scattered: np.ndarray | None = None
     background_clicked: np.ndarray | None = None
@@ -332,8 +347,9 @@ def _effective(mode: str, shapes, cal, config):
 
 
 def _lowpass(traces: np.ndarray, dt: float, cutoff: float) -> None:
-    """One-pole low-pass along each shot, in place: column j is read
-    before it is overwritten with the filtered value."""
+    """One-pole low-pass along each row (a shot, or a class sum), in
+    place: column j is read before it is overwritten with the filtered
+    value."""
     a = math.exp(-2.0 * math.pi * cutoff * dt)
     acc = np.zeros(traces.shape[0])
     for j in range(traces.shape[1]):
@@ -348,12 +364,24 @@ def simulate_cycle(
     cal: DetectionCalibration,
     mode: str = "normal",
     cycle: int = 0,
+    traces: bool = False,
 ) -> CycleData:
     """All shots of one atom cycle, vectorized.
 
     The draw order (photon numbers, transmitted split, detections,
     background uniforms, noise matrix) is part of the reproducibility
-    contract and must not change.
+    contract and must not change. It covers both outputs: the per-shot
+    traces (``traces=True``) and the class sums (the default) come from
+    the same draws, so their photon fates and click flags are identical.
+
+    The class sums are formed without the per-shot traces. A trace is
+    linear in the shot's fates, n_T phi_T1 + n_S phi_S1 + sigma z, and
+    the wobble ripple (n_ph / mu times a fixed row) and the low-pass
+    (a linear recurrence in time) are linear too. So a class sum is
+    (sum n_T) phi_T1 + (sum n_S) phi_S1 + sigma (sum z), plus
+    (sum n_ph / mu) ripple, low-passed as one row: in exact arithmetic
+    it equals the summed per-shot traces, and in floats it differs only
+    in rounding.
     """
     mu, tbar, eta, eff = _effective(mode, shapes, cal, config)
     shots = config.shots_per_cycle
@@ -363,6 +391,48 @@ def simulate_cycle(
     u_bg = rng.random(shots)
 
     n_s = n_ph - n_t
+    bg = u_bg < cal.p_bg
+    clicked = (n_det > 0) | bg
+    ripple = None
+    if config.wobble_amplitude != 0.0:
+        if config.mean_photons <= 0.0:
+            raise ConfigError("wobble injection needs mean_photons > 0")
+        ripple = config.wobble_amplitude * np.sin(
+            2.0 * np.pi * config.wobble_frequency * config.sample_times()
+            + config.wobble_phase
+        )
+    fates = dict(n_transmitted=n_t, n_scattered=n_s, background_clicked=bg)
+
+    if traces:
+        return CycleData(
+            cycle=cycle,
+            clicked=clicked,
+            traces=_shot_traces(rng, eff, config, n_t, n_s, n_ph, ripple),
+            **fates,
+        )
+    # row 0 selects the clicked shots, row 1 the silent ones; the noise
+    # matrix, the last draw, is the only cycle-sized array
+    classes = np.stack([clicked, ~clicked]).astype(np.float64)
+    sums = classes @ rng.standard_normal((shots, config.n_samples))
+    sums *= config.phase_noise_rms
+    sums += np.multiply.outer(classes @ n_t, eff.phi_T1)
+    sums += np.multiply.outer(classes @ n_s, eff.phi_S1)
+    if ripple is not None:
+        sums += np.multiply.outer(classes @ n_ph / config.mean_photons, ripple)
+    if config.lowpass_enabled:
+        _lowpass(sums, config.dt, config.lowpass_cutoff)
+    n_click = int(np.count_nonzero(clicked))
+    return CycleData(
+        cycle=cycle,
+        clicked=clicked,
+        sums=sums,
+        counts=(n_click, shots - n_click),
+        **fates,
+    )
+
+
+def _shot_traces(rng, eff, config, n_t, n_s, n_ph, ripple) -> np.ndarray:
+    """Per-shot traces of one cycle; the noise matrix is drawn here."""
     # same operations in the same order as n_t phi_T1 + n_s phi_S1 +
     # sigma noise (+ ripple), accumulated in place. One work array holds
     # each term in turn: the scattered term, then the noise matrix (the
@@ -374,26 +444,11 @@ def simulate_cycle(
     rng.standard_normal(out=work)
     work *= config.phase_noise_rms
     traces += work
-    if config.wobble_amplitude != 0.0:
-        if config.mean_photons <= 0.0:
-            raise ConfigError("wobble injection needs mean_photons > 0")
-        ripple = config.wobble_amplitude * np.sin(
-            2.0 * np.pi * config.wobble_frequency * config.sample_times()
-            + config.wobble_phase
-        )
+    if ripple is not None:
         traces += np.multiply.outer(n_ph / config.mean_photons, ripple, out=work)
     if config.lowpass_enabled:
         _lowpass(traces, config.dt, config.lowpass_cutoff)
-
-    bg = u_bg < cal.p_bg
-    return CycleData(
-        cycle=cycle,
-        traces=traces,
-        clicked=(n_det > 0) | bg,
-        n_transmitted=n_t,
-        n_scattered=n_s,
-        background_clicked=bg,
-    )
+    return traces
 
 
 def _usable_cpus() -> int:
@@ -412,6 +467,7 @@ def run_campaign(
     cal: DetectionCalibration,
     mode: str = "normal",
     jobs: int | None = None,
+    traces: bool = False,
 ) -> Iterator[CycleData]:
     """Cycles [0, n_cycles) in index order, one independent stream each.
 
@@ -420,7 +476,8 @@ def run_campaign(
     ``jobs`` threads draw the cycles: None means every CPU this process
     may use, 1 draws them serially in the consumer's thread. At most
     2 * jobs cycles are drawn ahead of the consumer, so memory stays
-    bounded however long the campaign.
+    bounded however long the campaign. ``traces`` is passed to
+    ``simulate_cycle``: set it only where the per-shot traces are read.
     """
     if n_cycles < 0:
         raise ConfigError("n_cycles must be non-negative")
@@ -429,7 +486,9 @@ def run_campaign(
 
     def one(cycle: int) -> CycleData:
         rng = np.random.default_rng([seed, cycle])
-        return simulate_cycle(rng, shapes, config, cal, mode=mode, cycle=cycle)
+        return simulate_cycle(
+            rng, shapes, config, cal, mode=mode, cycle=cycle, traces=traces
+        )
 
     if jobs <= 1:
         for cycle in range(n_cycles):

@@ -1,6 +1,7 @@
 """Post-selection statistics: accumulator algebra, windowed integrals,
 error propagation, timestamp alignment and the bootstrap."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from negdelay.analysis import (
     PostSelectedResult,
     accumulate,
     bootstrap_sigma,
+    class_sums,
     integral_with_error,
     integrate_trapz,
     integration_window,
@@ -25,9 +27,10 @@ from negdelay.errors import AnalysisError
 
 
 class _Cycle:
+    """Per-shot traces reduced to what ``accumulate`` reads."""
+
     def __init__(self, traces, clicked):
-        self.traces = np.asarray(traces, dtype=np.float64)
-        self.clicked = np.asarray(clicked, dtype=bool)
+        self.sums, self.counts = class_sums(traces, clicked)
 
 
 def _paired_cycles(diffs):
@@ -74,14 +77,45 @@ def test_merge_equals_single_pass():
     left = Accumulator(3)
     right = Accumulator(3)
     for c in cycles[:6]:
-        left.add_cycle(c.traces, c.clicked)
+        left.add_cycle(c.sums, c.counts)
     for c in cycles[6:]:
-        right.add_cycle(c.traces, c.clicked)
+        right.add_cycle(c.sums, c.counts)
     left.merge(right)
     merged = left.result()
     np.testing.assert_allclose(merged.cov, single.cov, rtol=1e-12, atol=1e-20)
     np.testing.assert_allclose(merged.phi_T, single.phi_T, rtol=1e-12)
     assert merged.n_cycles == single.n_cycles == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cycles=st.integers(2, 60),
+    split=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_covariance_holds_at_a_large_mean(n_cycles, split, seed):
+    """Cycles whose mean is 1e6 times their scatter, fed in two parts and
+    merged: the covariance matches a two-pass math.fsum reference. The
+    one-pass sum(d d^T) - n m m^T loses about eps * 1e12 of it here."""
+    d = 1e6 + np.random.default_rng(seed).standard_normal((n_cycles, 3))
+    left, right = Accumulator(3), Accumulator(3)
+    for i, row in enumerate(d):
+        (left if i < split else right).add_cycle(
+            np.stack([row, np.zeros(3)]), (1, 1)
+        )
+    left.merge(right)
+    res = left.result()
+    mean = [math.fsum(col) / n_cycles for col in d.T]
+    dev = d - np.array(mean)  # exact: each entry is within 2x of its mean
+    ref = np.array(
+        [
+            [math.fsum(dev[:, i] * dev[:, j]) for j in range(3)]
+            for i in range(3)
+        ]
+    ) / (n_cycles * (n_cycles - 1))
+    np.testing.assert_allclose(res.phi_T, mean, rtol=1e-14)
+    assert np.all(res.cov == res.cov.T)
+    assert np.max(np.abs(res.cov - ref)) <= 1e-8 * np.max(np.diag(ref))
 
 
 def test_merge_width_mismatch():
@@ -96,8 +130,8 @@ def test_merge_refuses_mixed_kept_differences(keeps):
     """Merging would count both sides' cycles but keep one side's rows,
     so a bootstrap on the result would resample the wrong set."""
     left, right = (Accumulator(2, keep_differences=k) for k in keeps)
-    left.add_cycle(np.ones((2, 2)), np.array([True, False]))
-    right.add_cycle(np.ones((2, 2)), np.array([True, False]))
+    left.add_cycle(*class_sums(np.ones((2, 2)), np.array([True, False])))
+    right.add_cycle(*class_sums(np.ones((2, 2)), np.array([True, False])))
     with pytest.raises(AnalysisError, match="keeps differences"):
         left.merge(right)
     assert left.n_cycles == 1
@@ -109,9 +143,9 @@ def test_merge_extends_kept_differences():
     left = Accumulator(2, keep_differences=True)
     right = Accumulator(2, keep_differences=True)
     for c in cycles[:2]:
-        left.add_cycle(c.traces, c.clicked)
+        left.add_cycle(c.sums, c.counts)
     for c in cycles[2:]:
-        right.add_cycle(c.traces, c.clicked)
+        right.add_cycle(c.sums, c.counts)
     left.merge(right)
     assert left.n_cycles == len(left.differences) == 5
     np.testing.assert_array_equal(np.asarray(left.differences), d)
@@ -120,14 +154,14 @@ def test_merge_extends_kept_differences():
 def test_empty_class_is_rejected():
     acc = Accumulator(2)
     with pytest.raises(AnalysisError, match="no-click class is empty"):
-        acc.add_cycle(np.ones((3, 2)), np.array([True, True, True]))
+        acc.add_cycle(*class_sums(np.ones((3, 2)), [True] * 3))
     with pytest.raises(AnalysisError, match="click class is empty"):
-        acc.add_cycle(np.ones((3, 2)), np.array([False, False, False]))
+        acc.add_cycle(*class_sums(np.ones((3, 2)), [False] * 3))
 
 
 def test_result_needs_two_cycles():
     acc = Accumulator(2)
-    acc.add_cycle(np.ones((2, 2)), np.array([True, False]))
+    acc.add_cycle(*class_sums(np.ones((2, 2)), np.array([True, False])))
     with pytest.raises(AnalysisError, match="two cycles"):
         acc.result()
 

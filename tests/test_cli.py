@@ -123,7 +123,9 @@ def _reference_log(cfg, seed, truth):
         run.shot.background_click_fraction,
     )
     cycles = list(
-        run_campaign(seed, run.n_cycles, shapes, run.shot, cal, jobs=1)
+        run_campaign(
+            seed, run.n_cycles, shapes, run.shot, cal, jobs=1, traces=True
+        )
     )
     names = ["traces", "clicked"]
     if truth:
@@ -357,11 +359,11 @@ def _zero_cycles(run, traces):
     for i in range(run.n_cycles):
         yield CycleData(
             i,
-            traces,
             np.zeros(shots, bool),
-            np.zeros(shots, np.int64),
-            np.zeros(shots, np.int64),
-            np.zeros(shots, bool),
+            traces=traces,
+            n_transmitted=np.zeros(shots, np.int64),
+            n_scattered=np.zeros(shots, np.int64),
+            background_clicked=np.zeros(shots, bool),
         )
 
 

@@ -2,6 +2,7 @@
 draw-order reproducibility and the statistical closure of the generator."""
 
 import hashlib
+import itertools
 import math
 import time
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from negdelay import montecarlo
 from negdelay.analysis import (
     accumulate,
+    class_sums,
     integral_with_error,
     integration_window,
     ratio_estimate,
@@ -156,7 +158,7 @@ def test_unconditioned_mean_trace(run, shapes, cal):
     config = replace(run.shot, phase_noise_rms=0.001)
     total = np.zeros(config.n_samples)
     shots = 0
-    for cyc in run_campaign(5, 150, shapes, config, cal):
+    for cyc in run_campaign(5, 150, shapes, config, cal, traces=True):
         total += cyc.traces.sum(axis=0)
         shots += cyc.traces.shape[0]
     dev = total / shots - config.mean_photons * shapes.phi_01
@@ -200,19 +202,22 @@ def test_unknown_kind_and_mode(run, shapes, cal):
 # --------------------------------------------------- reproducibility
 
 def test_draw_order_contract(run, shapes, cal):
-    """Frozen digest over the integer outcomes of one cycle. Any change
-    to the draw order or distribution parameters will move it."""
-    rng = np.random.default_rng([7, 0])
-    cyc = simulate_cycle(rng, shapes, replace(run.shot, shots_per_cycle=64), cal)
-    h = hashlib.sha256()
-    for arr in (
-        cyc.clicked,
-        cyc.n_transmitted,
-        cyc.n_scattered,
-        cyc.background_clicked,
-    ):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    assert h.hexdigest()[:16] == "d738e8a58bf3d563"
+    """Frozen digest over the integer outcomes of one cycle, the same
+    whether the cycle keeps its traces or only its class sums. Any
+    change to the draw order or distribution parameters will move it."""
+    config = replace(run.shot, shots_per_cycle=64)
+    for traces in (False, True):
+        rng = np.random.default_rng([7, 0])
+        cyc = simulate_cycle(rng, shapes, config, cal, traces=traces)
+        h = hashlib.sha256()
+        for arr in (
+            cyc.clicked,
+            cyc.n_transmitted,
+            cyc.n_scattered,
+            cyc.background_clicked,
+        ):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest()[:16] == "d738e8a58bf3d563", traces
     np.testing.assert_allclose(
         cyc.traces[0, :3],
         [-0.14545662170583473, -0.2202539147029107, 0.22334433442940746],
@@ -222,18 +227,26 @@ def test_draw_order_contract(run, shapes, cal):
 
 def test_thread_fanout_is_invisible(run, shapes, cal):
     """Serial, default and three-thread campaigns agree bit for bit over
-    enough cycles to slide the in-flight window several times."""
+    enough cycles to slide the in-flight window several times, whether
+    the cycles keep their traces or only their class sums."""
     config = replace(run.shot, shots_per_cycle=40)
-    for mode in ("normal", "bypass_atoms"):
+    for mode, traces in itertools.product(
+        ("normal", "bypass_atoms"), (False, True)
+    ):
+        kwargs = dict(mode=mode, traces=traces)
         serial, *threaded = (
-            list(run_campaign(2, 21, shapes, config, cal, mode=mode, jobs=jobs))
+            list(run_campaign(2, 21, shapes, config, cal, jobs=jobs, **kwargs))
             for jobs in (1, None, 3)
         )
         assert [c.cycle for c in serial] == list(range(21))
         for campaign in threaded:
             assert [c.cycle for c in campaign] == list(range(21))
             for a, b in zip(serial, campaign):
-                assert np.array_equal(a.traces, b.traces)
+                if traces:
+                    assert np.array_equal(a.traces, b.traces)
+                else:
+                    assert np.array_equal(a.sums, b.sums)
+                    assert a.counts == b.counts
                 assert np.array_equal(a.clicked, b.clicked)
                 assert np.array_equal(a.n_transmitted, b.n_transmitted)
                 assert np.array_equal(a.n_scattered, b.n_scattered)
@@ -251,24 +264,44 @@ def _injected(shot):
     }
 
 
+def _cycle_peak(rng, shapes, config, cal, traces):
+    """The cycle and the peak bytes allocated while it was drawn, after
+    one warm-up cycle."""
+    warm = np.random.default_rng([7, 0])
+    simulate_cycle(warm, shapes, config, cal, traces=traces)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cyc = simulate_cycle(rng, shapes, config, cal, traces=traces)
+        return cyc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_cycle_holds_two_cycle_sized_arrays(run, shapes, cal):
-    """A cycle holds at most two cycle-sized arrays at once: the traces
-    and one work array that takes the scattered term, the noise matrix
-    and the wobble ripple in turn, while the low-pass filters in place.
-    numpy's broadcast buffers and the per-shot vectors add under half a
-    cycle's traces."""
+    """A cycle drawn with its traces holds at most two cycle-sized arrays
+    at once: the traces and one work array that takes the scattered term,
+    the noise matrix and the wobble ripple in turn, while the low-pass
+    filters in place. numpy's broadcast buffers and the per-shot vectors
+    add under half a cycle's traces."""
     for name, config in _injected(run.shot).items():
-        simulate_cycle(np.random.default_rng([7, 0]), shapes, config, cal)
         rng = np.random.default_rng([7, 1])
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            cyc = simulate_cycle(rng, shapes, config, cal)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cyc, peak = _cycle_peak(rng, shapes, config, cal, traces=True)
         assert cyc.traces.shape == (config.shots_per_cycle, config.n_samples)
         assert peak <= 2.5 * cyc.traces.nbytes, (name, peak, cyc.traces.nbytes)
+
+
+def test_reduced_cycle_holds_only_the_noise_matrix(run, shapes, cal):
+    """A cycle reduced to its class sums holds one cycle-sized array, the
+    noise matrix it draws; the class rows, the per-shot vectors and the
+    two summed rows add under half a cycle's traces."""
+    trace_bytes = 8 * run.shot.shots_per_cycle * run.shot.n_samples
+    for name, config in _injected(run.shot).items():
+        rng = np.random.default_rng([7, 1])
+        cyc, peak = _cycle_peak(rng, shapes, config, cal, traces=False)
+        assert cyc.traces is None
+        assert cyc.sums.shape == (2, config.n_samples)
+        assert peak <= 1.5 * trace_bytes, (name, peak, trace_bytes)
 
 
 def _fresh_array_traces(rng, shapes, config, cal):
@@ -307,10 +340,45 @@ def test_work_array_keeps_fresh_array_bytes(run, shapes, cal):
     configs = _injected(replace(run.shot, shots_per_cycle=200))
     both = replace(configs["wobble"], lowpass_enabled=True)
     for name, config in {**configs, "both": both}.items():
-        cyc = simulate_cycle(np.random.default_rng([3, 1]), shapes, config, cal)
+        cyc = simulate_cycle(
+            np.random.default_rng([3, 1]), shapes, config, cal, traces=True
+        )
         rng = np.random.default_rng([3, 1])
         expected = _fresh_array_traces(rng, shapes, config, cal)
         assert np.array_equal(cyc.traces, expected), name
+
+
+_FATES = ("clicked", "n_transmitted", "n_scattered", "background_clicked")
+
+
+@pytest.mark.parametrize("mode", montecarlo.MODES)
+def test_class_sums_match_summed_traces(run, shapes, cal, mode):
+    """Two code paths from one seed: the cycle reduced where it is drawn,
+    and the same cycle drawn with its traces, then reduced by
+    ``class_sums``. Fates, click flags and class sizes are identical;
+    the class means differ only by rounding, within 1e-12 of the
+    per-shot phase scale, with the wobble, the low-pass and both."""
+    configs = _injected(run.shot)
+    both = replace(configs["wobble"], lowpass_enabled=True)
+    for name, config in {**configs, "both": both}.items():
+        reduced, full = (
+            simulate_cycle(
+                np.random.default_rng([5, 2]),
+                shapes,
+                config,
+                cal,
+                mode=mode,
+                traces=traces,
+            )
+            for traces in (False, True)
+        )
+        for fate in _FATES:
+            assert np.array_equal(getattr(reduced, fate), getattr(full, fate))
+        sums, counts = class_sums(full.traces, full.clicked)
+        assert reduced.counts == counts, name
+        scale = float(np.max(np.abs(full.traces)))
+        gap = np.abs(reduced.sums - sums) / np.array(counts)[:, None]
+        assert np.max(gap) <= 1e-12 * scale, (name, np.max(gap) / scale)
 
 
 def test_threaded_campaign_is_lazy(run, shapes, cal, monkeypatch):
@@ -344,9 +412,10 @@ def test_worker_error_surfaces(run, shapes):
 
 def test_seed_reproducibility(run, shapes, cal):
     config = replace(run.shot, shots_per_cycle=8)
-    a = next(run_campaign(13, 1, shapes, config, cal))
-    b = next(run_campaign(13, 1, shapes, config, cal))
-    c = next(run_campaign(14, 1, shapes, config, cal))
+    a, b, c = (
+        next(run_campaign(seed, 1, shapes, config, cal, traces=True))
+        for seed in (13, 13, 14)
+    )
     assert np.array_equal(a.traces, b.traces)
     assert not np.array_equal(a.traces, c.traces)
 
@@ -362,7 +431,12 @@ def test_wobble_ripple_is_exact(run, shapes, cal):
         shots_per_cycle=32,
     )
     cyc = simulate_cycle(
-        np.random.default_rng(99), shapes, config, cal, mode="bypass_atoms"
+        np.random.default_rng(99),
+        shapes,
+        config,
+        cal,
+        mode="bypass_atoms",
+        traces=True,
     )
     n_ph = cyc.n_transmitted + cyc.n_scattered
     ripple = config.wobble_amplitude * np.sin(
@@ -387,8 +461,9 @@ def test_lowpass_matches_reference_recurrence(run, shapes, cal):
         shapes,
         replace(config, lowpass_enabled=True),
         cal,
+        traces=True,
     )
-    raw = simulate_cycle(np.random.default_rng(8), shapes, config, cal)
+    raw = simulate_cycle(np.random.default_rng(8), shapes, config, cal, traces=True)
     a = math.exp(-2.0 * math.pi * config.lowpass_cutoff * config.dt)
     acc = np.zeros(raw.traces.shape[0])
     out = np.empty_like(raw.traces)
