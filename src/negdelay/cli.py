@@ -54,7 +54,7 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # the bulk of every CSV: columns as .tolist()
+    if type(value) is float:  # the commonest cell of a mixed row
         return float.__repr__(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -72,8 +72,13 @@ def _write_csv(path: Path, run: RunConfig, seed, columns, rows) -> None:
         + (f" seed={seed}" if seed is not None else ""),
         ",".join(columns),
     ]
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+    if isinstance(rows, np.ndarray):
+        # a float matrix, cell by cell as _fmt writes a float: reprs in
+        # row order, grouped into rows of rows.shape[1]
+        cells = map(float.__repr__, rows.ravel().tolist())
+        lines += map(",".join, zip(*[cells] * rows.shape[1]))
+    else:
+        lines += (",".join(map(_fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -251,19 +256,15 @@ def _cmd_theory(run: RunConfig, out: Path, args) -> int:
         run,
         None,
         ("t_ns", "phi_urad"),
-        zip(
-            (sig.axis() * 1e9).tolist(),
-            (phi0_trace(sig, run.medium) * 1e6).tolist(),
-        ),
+        np.column_stack((sig.axis() * 1e9, phi0_trace(sig, run.medium) * 1e6)),
     )
     _write_csv(
         out / "phiT_theory.csv",
         run,
         None,
         ("t_ns", "phi_urad"),
-        zip(
-            (weak.axis() * 1e9).tolist(),
-            (conversion_factor(run.medium) * weak.weak * 1e6).tolist(),
+        np.column_stack(
+            (weak.axis() * 1e9, conversion_factor(run.medium) * weak.weak * 1e6)
         ),
     )
     _write_csv(
@@ -309,10 +310,8 @@ def _analyze_cycles(
         run,
         seed,
         ("t_ns", "phi_urad", "sigma_urad"),
-        zip(
-            centers.tolist(),
-            (result.phi_T * 1e6).tolist(),
-            (np.sqrt(np.diag(result.cov)) * 1e6).tolist(),
+        np.column_stack(
+            (centers, result.phi_T * 1e6, np.sqrt(np.diag(result.cov)) * 1e6)
         ),
     )
     columns = [

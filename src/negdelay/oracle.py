@@ -52,11 +52,23 @@ reversed output ends with the pulse, and its ringdown must decay before it
 wraps around. The frame is the smallest 2^a 3^b 5^c length past that
 padding, not the next power of two: numpy's pocketfft transforms such
 lengths at about the same cost per point, so a 13,065-point need takes a
-13,122-point frame, not 16,384. Each emitter's state and adjoint spectra
-are the two rows of one array and take one two-row inverse FFT. numpy
-plans every FFT call afresh and plans once for all rows of a call, so
-this halves the planning against one call per direction; the rows are
-transformed exactly as alone.
+13,122-point frame, not 16,384.
+
+Every coefficient is real but q = -i s, s = sin(th) hd: c = cos(th), p
+and q^2 = -s^2 are real, so H(z) is a real filter, the state filter is
+-i times the real filter s z^-1 / (1 - p z^-1) and the adjoint filter +i
+times s / (1 - p z^-1). A real filter never mixes the real and imaginary
+parts of its input, so the chain runs on each part of the input field
+alone, as a real sequence: the factor i of the imaginary part cancels in
+every product below. Driven by a real sequence, the transmitted bins are
+real, emitter k's state is -i u_k and its adjoint state +i v_k with u_k
+and v_k real, and Re(+i v_k conj(-i u_k)) = -u_k v_k. A part therefore
+adds sum_k u_k^2 to N_e, -sum_k u_k v_k (adjoint time-reversed) to the
+unnormalised W and its transmitted norm to ||P_f psi(t_f)||^2; the parts
+are summed and W normalised once. Each part runs on half-length spectra
+with numpy's rfft / irfft, and each emitter's state and adjoint spectra
+are the two rows of one inverse transform. A pulse on carrier resonance
+is real and takes one pass; a detuned pulse takes two.
 """
 
 from __future__ import annotations
@@ -207,59 +219,53 @@ def weak_excitation_trace(
     c = np.cos(theta)
     s = np.sin(theta) * np.exp(-gamma_side * sig.dt / 4.0)
     p = c * np.exp(-gamma_side * sig.dt / 2.0)
-    q = -1j * s
 
     n = sig.n
     size = _frame_length(n, medium.gamma, sig.dt)
-    # rows of one array, so each emitter takes one two-row inverse FFT:
-    # spec holds emitter k's state (fa) and adjoint (fb) spectra, out
-    # their transforms, and out[0] doubles as the work frame buf
-    spec = np.empty((2, size), np.complex128)
-    out = np.empty((2, size), np.complex128)
-    fa, fb, buf = spec[0], spec[1], out[0]
-    # four spectra on the DFT grid, z^-1 = exp(-2 pi i m / size)
-    h = np.arange(size) * (-2j * np.pi / size)
-    np.exp(h, out=h)
-    np.multiply(p, h, out=fb)
-    np.subtract(1.0, fb, out=fb)
-    np.divide(1.0, fb, out=fb)  # 1 / (1 - p z^-1)
-    h *= fb
-    fb *= np.conj(q)  # adjoint state filter, before the H^(N-1-k) factor
-    np.fft.fft(sig.samples, size, out=buf)
-    buf *= np.sqrt(sig.dt)  # chain input: one bin holds E(t_j) sqrt(dt)
-    np.multiply(q, h, out=fa)
-    fa *= buf  # emitter 0's state
-    h *= q * q
-    h += c  # H(z)
-
-    # transmitted bins: the input through all n_atoms filters
-    for _ in range(n_atoms):
-        buf *= h
-    np.fft.ifft(buf, out=buf)
-    norm_in = sig.dt * float(np.vdot(sig.samples, sig.samples).real)
-    dnorm = float(np.vdot(buf[:n], buf[:n]).real)
-    transmission = dnorm / norm_in
-    # the adjoint runs on the time-reversed transmitted bins
-    buf[:n] = buf[n - 1 :: -1]
-    buf[n:] = 0.0
-    fb *= np.fft.fft(buf, out=buf)
+    # real filters on the half DFT grid, z^-1 = exp(-2 pi i m / size)
+    zinv = np.exp(np.arange(size // 2 + 1) * (-2j * np.pi / size))
+    g = s / (1.0 - p * zinv)  # the adjoint state filter
+    h = zinv * g  # the state filter s z^-1 / (1 - p z^-1)
+    hz = c - s * h  # H(z) = c - s^2 z^-1 / (1 - p z^-1)
+    hinv = 1.0 / hz  # a multiply per emitter is cheaper than a divide
+    hlast = np.ones_like(hz)  # H^(N-1)
     for _ in range(n_atoms - 1):
-        fb *= h
+        hlast *= hz
 
-    # per emitter: its state after each step, held conjugated, then its
-    # adjoint state; the state before step j pairs with index n - 1 - j
-    # of the reversed frame
     ne = np.zeros(n + 1)
     weak = np.zeros(n + 1)
-    state = np.empty(n, np.complex128)
-    hinv = 1.0 / h  # a complex multiply per emitter is cheaper than a divide
-    for _ in range(n_atoms):
-        np.fft.ifft(spec, axis=-1, out=out)
-        np.conjugate(out[0, 1 : n + 1], out=state)
-        ne[1:] += state.real**2 + state.imag**2
-        weak[1:n] += (out[1, n - 2 :: -1] * state[:-1]).real
-        fa *= h
-        fb *= hinv
+    dnorm = 0.0
+    # spec holds emitter k's u (row 0) and v (row 1) spectra; frames can
+    # be odd, so every inverse transform names its length
+    spec = np.empty((2, len(g)), np.complex128)
+    fa, fb = spec
+    out = np.empty((2, size))
+    work = np.empty(n)
+    for part in (sig.samples.real, sig.samples.imag):
+        if not part.any():
+            continue
+        np.fft.rfft(part, size, out=fb)
+        fb *= np.sqrt(sig.dt)  # chain input: one bin holds E(t_j) sqrt(dt)
+        np.multiply(h, fb, out=fa)  # emitter 0's state
+        # transmitted bins: the input through all n_atoms filters
+        fb *= hlast
+        fb *= hz
+        bins = np.fft.irfft(fb, size, out=out[0])[:n]
+        dnorm += float(bins @ bins)
+        # the adjoint runs on the time-reversed transmitted bins
+        np.fft.rfft(bins[::-1], size, out=fb)
+        fb *= g
+        fb *= hlast
+        # per emitter: its state after each step, then its adjoint state;
+        # the state before step j pairs with index n - 1 - j of the
+        # reversed frame
+        for _ in range(n_atoms):
+            np.fft.irfft(spec, size, out=out)
+            u = out[0, 1 : n + 1]
+            ne[1:] += np.multiply(u, u, out=work)
+            weak[1:n] += np.multiply(out[1, n - 2 :: -1], u[:-1], out=work[1:])
+            fa *= hz
+            fb *= hinv
 
     if ne[-1] > 1e-6:
         raise ConfigError(
@@ -268,11 +274,12 @@ def weak_excitation_trace(
         )
     if dnorm <= 0.0:
         raise ConvergenceError("post-selection norm vanished")
-    weak /= dnorm
+    weak /= -dnorm  # Re(+i v conj(-i u)) = -u v
+    norm_in = sig.dt * float(np.vdot(sig.samples, sig.samples).real)
     return WeakTrace(
         dt=sig.dt,
         t0=sig.t0,
         weak=weak,
         population=ne,
-        transmission=transmission,
+        transmission=dnorm / norm_in,
     )
