@@ -6,8 +6,9 @@ subtract. Cycles are then treated as i.i.d. samples of that difference,
 which makes the covariance of the final mean a plain scatter estimate
 and keeps the accumulation a commutative merge of (count, mean, centred
 sum of outer products) partials, safe to parallelize. A cycle enters as
-its two class sums and counts (``class_sums``), which the sampler forms
-where it draws the cycle and the shot-log reader forms from the traces.
+its two class sums and counts (``class_sums``): the sampler reduces its
+draws with it where it draws the cycle, and the shot-log reader reduces
+the logged traces.
 
 Integrals use the trapezoidal rule over an index window chosen from the
 theory trace (outermost crossings of a fraction of its absolute peak),
@@ -80,17 +81,17 @@ class IntegralResult:
 
 
 def class_sums(
-    traces: np.ndarray, clicked: np.ndarray
+    x: np.ndarray, clicked: np.ndarray
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Per-shot traces reduced to what the accumulator reads: the summed
-    traces of the clicked and of the silent shots, as rows 0 and 1, and
-    the two class sizes. A sum divided by its count has the bits of the
-    class's ``mean(axis=0)``."""
-    traces = np.asarray(traces, dtype=np.float64)
+    """Per-shot rows (or values) reduced to what the accumulator reads:
+    their sums over the clicked and over the silent shots, as rows 0 and
+    1, and the two class sizes. The sums are ``classes @ x``, with
+    ``classes`` the (2, shots) matrix of clicked and silent flags, so
+    ``x`` must be finite: a non-finite value would reach both rows."""
     clicked = np.asarray(clicked, dtype=bool)
-    sums = np.stack([traces[clicked].sum(axis=0), traces[~clicked].sum(axis=0)])
+    classes = np.stack([clicked, ~clicked]).astype(np.float64)
     n_click = int(np.count_nonzero(clicked))
-    return sums, (n_click, clicked.size - n_click)
+    return classes @ x, (n_click, clicked.size - n_click)
 
 
 class Accumulator:

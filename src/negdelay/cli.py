@@ -172,7 +172,9 @@ def _read_log(path: Path, run: RunConfig):
             seed = meta.get("seed")
             if type(seed) is not int or seed < 0:
                 raise ValueError(f"meta.json seed {seed!r} is not an integer >= 0")
-            shape = (meta.get("n_cycles"), run.shot.shots_per_cycle, run.shot.n_samples)
+            # the config hash covers campaign.n_cycles: a log of another
+            # length is not the run that hash names
+            shape = (run.n_cycles, run.shot.shots_per_cycle, run.shot.n_samples)
             members = []
             for name, dtype, want in (
                 ("traces.npy", np.dtype(np.float64), shape),
@@ -181,25 +183,23 @@ def _read_log(path: Path, run: RunConfig):
                 fh = stack.enter_context(zf.open(name))
                 npy.read_magic(fh)
                 found, fortran_order, found_dtype = npy.read_array_header_1_0(fh)
-                header, info = _npy_member(name, found_dtype, found)
                 # a member of exactly the declared length is read to its
                 # end, where its CRC is checked
                 data_bytes = zf.getinfo(name).file_size - fh.tell()
                 if (found, found_dtype, fortran_order, data_bytes) != (
-                    want, dtype, False, info.file_size - len(header)
+                    want, dtype, False, dtype.itemsize * math.prod(want)
                 ):
                     raise ValueError(
                         f"{name} holds {found} {found_dtype} in {data_bytes} "
                         f"bytes, expected {want} {dtype}"
                     )
-                members.append((fh, dtype, found[1:]))
-            n_cycles = found[0]
+                members.append((fh, dtype, want[1:]))
         except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise unreadable(exc) from None
 
         def cycles():
             try:
-                for i in range(n_cycles):
+                for i in range(run.n_cycles):
                     traces, clicked = (
                         np.frombuffer(src.read(dt.itemsize * math.prod(row)), dt)
                         .reshape(row) for src, dt, row in members

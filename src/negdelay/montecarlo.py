@@ -14,13 +14,13 @@ Gaussian noise per sample. Everything downstream (post-selection
 averaging, backgrounds, systematics injection) consumes these shots.
 
 The analysis reads only each cycle's two class sums (clicked and silent
-shots) and counts, so a cycle is reduced to them where it is drawn:
-because the trace is linear in the fates, and the wobble and low-pass
-are linear too, a class sum is built from the summed fates and the
-summed noise rows without forming a trace. Only ``simulate``, which logs
-per-shot traces, asks for them (``traces=True``). Both outputs consume
-the same draws in the same order: the draw-order contract of
-``simulate_cycle`` covers them both.
+shots) and counts, so a cycle is reduced to them where it is drawn. The
+trace is linear in the fates and the noise, and the wobble and low-pass
+are linear too, so one formula (``_phase_rows``) forms a phase row from
+either one shot's draws or their class sums (``analysis.class_sums``).
+Only ``simulate``, which logs per-shot traces, asks for them
+(``traces=True``). Both outputs consume the same draws in the same
+order: the draw-order contract of ``simulate_cycle`` covers them both.
 
 Poisson conditioning is the one subtlety: clicking selects shots with
 more transmitted photons, so the click/no-click trace difference is not
@@ -47,6 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .analysis import class_sums
 from .errors import ConfigError
 from .excitation import phi0_trace
 from .medium import MediumSpec, conversion_factor
@@ -357,6 +358,29 @@ def _lowpass(traces: np.ndarray, dt: float, cutoff: float) -> None:
         traces[:, j] = acc
 
 
+def _phase_rows(rows, n_t, n_s, n_ph, eff, config) -> None:
+    """Noise rows turned in place into phase rows:
+    sigma rows + n_t phi_T1 + n_s phi_S1 (+ n_ph / mu ripple), then the
+    low-pass. A row is one shot, with its photon numbers, or one class
+    sum, with the summed numbers of its shots: every term is linear, so
+    the same formula serves both. One work array takes each term in
+    turn."""
+    work = np.empty_like(rows)
+    rows *= config.phase_noise_rms
+    rows += np.multiply.outer(n_t, eff.phi_T1, out=work)
+    rows += np.multiply.outer(n_s, eff.phi_S1, out=work)
+    if config.wobble_amplitude != 0.0:
+        if config.mean_photons <= 0.0:
+            raise ConfigError("wobble injection needs mean_photons > 0")
+        ripple = config.wobble_amplitude * np.sin(
+            2.0 * np.pi * config.wobble_frequency * config.sample_times()
+            + config.wobble_phase
+        )
+        rows += np.multiply.outer(n_ph / config.mean_photons, ripple, out=work)
+    if config.lowpass_enabled:
+        _lowpass(rows, config.dt, config.lowpass_cutoff)
+
+
 def simulate_cycle(
     rng: np.random.Generator,
     shapes: PerPhotonShapes,
@@ -374,14 +398,11 @@ def simulate_cycle(
     traces (``traces=True``) and the class sums (the default) come from
     the same draws, so their photon fates and click flags are identical.
 
-    The class sums are formed without the per-shot traces. A trace is
-    linear in the shot's fates, n_T phi_T1 + n_S phi_S1 + sigma z, and
-    the wobble ripple (n_ph / mu times a fixed row) and the low-pass
-    (a linear recurrence in time) are linear too. So a class sum is
-    (sum n_T) phi_T1 + (sum n_S) phi_S1 + sigma (sum z), plus
-    (sum n_ph / mu) ripple, low-passed as one row: in exact arithmetic
-    it equals the summed per-shot traces, and in floats it differs only
-    in rounding.
+    ``_phase_rows`` forms both: the traces from the per-shot noise rows
+    and photon numbers, the class sums from the class sums of those
+    draws (``class_sums``), without forming a per-shot trace. In exact
+    arithmetic a class sum equals the summed per-shot traces; in floats
+    it differs only in rounding.
     """
     mu, tbar, eta, eff = _effective(mode, shapes, cal, config)
     shots = config.shots_per_cycle
@@ -393,62 +414,21 @@ def simulate_cycle(
     n_s = n_ph - n_t
     bg = u_bg < cal.p_bg
     clicked = (n_det > 0) | bg
-    ripple = None
-    if config.wobble_amplitude != 0.0:
-        if config.mean_photons <= 0.0:
-            raise ConfigError("wobble injection needs mean_photons > 0")
-        ripple = config.wobble_amplitude * np.sin(
-            2.0 * np.pi * config.wobble_frequency * config.sample_times()
-            + config.wobble_phase
-        )
     fates = dict(n_transmitted=n_t, n_scattered=n_s, background_clicked=bg)
-
+    # the noise matrix is the last draw. It becomes the traces in place,
+    # or is reduced to its class sums at once: kept to the end of the
+    # cycle, it cost threaded campaigns ~25 page faults a cycle
+    noise_shape = (shots, config.n_samples)
     if traces:
-        return CycleData(
-            cycle=cycle,
-            clicked=clicked,
-            traces=_shot_traces(rng, eff, config, n_t, n_s, n_ph, ripple),
-            **fates,
-        )
-    # row 0 selects the clicked shots, row 1 the silent ones; the noise
-    # matrix, the last draw, is the only cycle-sized array
-    classes = np.stack([clicked, ~clicked]).astype(np.float64)
-    sums = classes @ rng.standard_normal((shots, config.n_samples))
-    sums *= config.phase_noise_rms
-    sums += np.multiply.outer(classes @ n_t, eff.phi_T1)
-    sums += np.multiply.outer(classes @ n_s, eff.phi_S1)
-    if ripple is not None:
-        sums += np.multiply.outer(classes @ n_ph / config.mean_photons, ripple)
-    if config.lowpass_enabled:
-        _lowpass(sums, config.dt, config.lowpass_cutoff)
-    n_click = int(np.count_nonzero(clicked))
+        rows = rng.standard_normal(noise_shape)
+        _phase_rows(rows, n_t, n_s, n_ph, eff, config)
+        return CycleData(cycle=cycle, clicked=clicked, traces=rows, **fates)
+    sums, counts = class_sums(rng.standard_normal(noise_shape), clicked)
+    summed, _ = class_sums(np.stack((n_t, n_s, n_ph), axis=1), clicked)
+    _phase_rows(sums, *summed.T, eff, config)
     return CycleData(
-        cycle=cycle,
-        clicked=clicked,
-        sums=sums,
-        counts=(n_click, shots - n_click),
-        **fates,
+        cycle=cycle, clicked=clicked, sums=sums, counts=counts, **fates
     )
-
-
-def _shot_traces(rng, eff, config, n_t, n_s, n_ph, ripple) -> np.ndarray:
-    """Per-shot traces of one cycle; the noise matrix is drawn here."""
-    # same operations in the same order as n_t phi_T1 + n_s phi_S1 +
-    # sigma noise (+ ripple), accumulated in place. One work array holds
-    # each term in turn: the scattered term, then the noise matrix (the
-    # last draw, drawn into it), then the ripple, so a cycle holds two
-    # cycle-sized arrays.
-    traces = np.multiply.outer(n_t, eff.phi_T1)
-    work = np.multiply.outer(n_s, eff.phi_S1)
-    traces += work
-    rng.standard_normal(out=work)
-    work *= config.phase_noise_rms
-    traces += work
-    if ripple is not None:
-        traces += np.multiply.outer(n_ph / config.mean_photons, ripple, out=work)
-    if config.lowpass_enabled:
-        _lowpass(traces, config.dt, config.lowpass_cutoff)
-    return traces
 
 
 def _usable_cpus() -> int:

@@ -40,6 +40,57 @@ def _paired_cycles(diffs):
     ]
 
 
+# -------------------------------------------------------- class sums
+
+def _masked_sums(x, clicked):
+    """Reference for ``class_sums``: each class's rows summed by a mask."""
+    x, clicked = np.asarray(x), np.asarray(clicked, dtype=bool)
+    return np.stack([x[clicked].sum(axis=0), x[~clicked].sum(axis=0)])
+
+
+def test_class_sums_of_float_traces_match_masked_sums():
+    """Within rounding: the two reductions add in different orders."""
+    rng = np.random.default_rng(12)
+    traces = rng.standard_normal((1501, 36))
+    clicked = rng.random(1501) < 0.2
+    sums, counts = class_sums(traces, clicked)
+    n_click = int(np.count_nonzero(clicked))
+    assert counts == (n_click, 1501 - n_click)
+    assert sums.shape == (2, 36)
+    bound = 1e-14 * np.abs(traces).sum(axis=0)
+    assert np.all(np.abs(sums - _masked_sums(traces, clicked)) <= bound)
+
+
+def test_class_sums_of_integer_fates_are_exact():
+    """Photon numbers sum exactly in float64, whatever the order."""
+    rng = np.random.default_rng(13)
+    fates = rng.poisson(40.0, (1500, 3))
+    clicked = rng.random(1500) < 0.1
+    sums, _ = class_sums(fates, clicked)
+    assert sums.dtype == np.float64
+    assert np.array_equal(sums, _masked_sums(fates, clicked))
+
+
+def test_class_sums_of_a_vector():
+    values = np.array([0.5, -1.25, 2.0, 4.0, -0.75])
+    clicked = np.array([True, False, False, True, False])
+    sums, counts = class_sums(values, clicked)
+    assert counts == (2, 3)
+    assert np.array_equal(sums, _masked_sums(values, clicked))
+    assert np.array_equal(sums, [4.5, 0.0])
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_class_sums_with_an_empty_class(flag):
+    traces = np.random.default_rng(14).standard_normal((7, 4))
+    clicked = np.full(7, flag)
+    sums, counts = class_sums(traces, clicked)
+    assert counts == ((7, 0) if flag else (0, 7))
+    full, empty = (sums[0], sums[1]) if flag else (sums[1], sums[0])
+    assert np.array_equal(empty, np.zeros(4))
+    np.testing.assert_allclose(full, traces.sum(axis=0), rtol=0, atol=1e-14 * 7)
+
+
 # ------------------------------------------------------- accumulator
 
 def test_identical_cycles_have_zero_covariance():

@@ -4,6 +4,7 @@ import io
 import json
 import tracemalloc
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,6 +288,24 @@ def _rewritten_log(tmp_path, cfg, edit):
 def test_trace_shape_mismatch_exits_2(tmp_path, capsys, cut):
     cfg = _cfg(tmp_path, TINY)
     _analyze_fails(tmp_path, capsys, cfg, _rewritten_log(tmp_path, cfg, cut))
+
+
+def test_log_of_another_cycle_count_exits_2(tmp_path, capsys):
+    """The config hash covers campaign.n_cycles: a self-consistent log of
+    3 cycles under a 6-cycle config's hash is refused, not analyzed as a
+    shorter campaign."""
+    cfg = _cfg(tmp_path, TINY)
+    run = load_config(cfg)
+    short = replace(run, n_cycles=3)
+    shapes, cal = negdelay.cli._prepare(short)
+    cycles = run_campaign(
+        5, short.n_cycles, shapes, short.shot, cal, jobs=1, traces=True
+    )
+    log = tmp_path / "short.npz"
+    negdelay.cli._write_log(log, short, 5, "normal", cycles, False)
+    with zipfile.ZipFile(log) as zf:
+        assert json.loads(zf.read("meta.json"))["config_hash"] == run.config_hash
+    _analyze_fails(tmp_path, capsys, cfg, log)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

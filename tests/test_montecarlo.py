@@ -280,10 +280,11 @@ def _cycle_peak(rng, shapes, config, cal, traces):
 
 def test_cycle_holds_two_cycle_sized_arrays(run, shapes, cal):
     """A cycle drawn with its traces holds at most two cycle-sized arrays
-    at once: the traces and one work array that takes the scattered term,
-    the noise matrix and the wobble ripple in turn, while the low-pass
-    filters in place. numpy's broadcast buffers and the per-shot vectors
-    add under half a cycle's traces."""
+    at once: the noise matrix, which becomes the traces, and one work
+    array that takes the transmitted term, the scattered term and the
+    wobble ripple in turn, while the low-pass filters in place. numpy's
+    broadcast buffers and the per-shot vectors add under half a cycle's
+    traces."""
     for name, config in _injected(run.shot).items():
         rng = np.random.default_rng([7, 1])
         cyc, peak = _cycle_peak(rng, shapes, config, cal, traces=True)
@@ -293,8 +294,8 @@ def test_cycle_holds_two_cycle_sized_arrays(run, shapes, cal):
 
 def test_reduced_cycle_holds_only_the_noise_matrix(run, shapes, cal):
     """A cycle reduced to its class sums holds one cycle-sized array, the
-    noise matrix it draws; the class rows, the per-shot vectors and the
-    two summed rows add under half a cycle's traces."""
+    noise matrix it draws; the class rows, the per-shot vectors, their
+    stacked fates and the summed rows add under half a cycle's traces."""
     trace_bytes = 8 * run.shot.shots_per_cycle * run.shot.n_samples
     for name, config in _injected(run.shot).items():
         rng = np.random.default_rng([7, 1])
@@ -305,18 +306,18 @@ def test_reduced_cycle_holds_only_the_noise_matrix(run, shapes, cal):
 
 
 def _fresh_array_traces(rng, shapes, config, cal):
-    """The cycle's traces as separate temporaries: every term, the ripple
-    broadcast and the low-pass output are new arrays."""
+    """The cycle's traces as separate temporaries, term by term in the
+    sampler's order (noise, transmitted, scattered, ripple): every term,
+    the ripple broadcast and the low-pass output are new arrays."""
     n_ph = rng.poisson(config.mean_photons, config.shots_per_cycle)
     n_t = rng.binomial(n_ph, shapes.tbar)
     rng.binomial(n_t, cal.eta)
     rng.random(config.shots_per_cycle)
     n_s = n_ph - n_t
-    traces = np.multiply.outer(n_t, shapes.phi_T1)
-    traces += np.multiply.outer(n_s, shapes.phi_S1)
     noise = rng.standard_normal((config.shots_per_cycle, config.n_samples))
-    noise *= config.phase_noise_rms
-    traces += noise
+    traces = config.phase_noise_rms * noise
+    traces += np.multiply.outer(n_t, shapes.phi_T1)
+    traces += np.multiply.outer(n_s, shapes.phi_S1)
     if config.wobble_amplitude != 0.0:
         ripple = config.wobble_amplitude * np.sin(
             2.0 * np.pi * config.wobble_frequency * config.sample_times()
