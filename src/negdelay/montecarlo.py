@@ -14,13 +14,17 @@ Gaussian noise per sample. Everything downstream (post-selection
 averaging, backgrounds, systematics injection) consumes these shots.
 
 The analysis reads only each cycle's two class sums (clicked and silent
-shots) and counts, so a cycle is reduced to them where it is drawn. The
-trace is linear in the fates and the noise, and the wobble and low-pass
-are linear too, so one formula (``_phase_rows``) forms a phase row from
-either one shot's draws or their class sums (``analysis.class_sums``).
-Only ``simulate``, which logs per-shot traces, asks for them
-(``traces=True``). Both outputs consume the same draws in the same
-order: the draw-order contract of ``simulate_cycle`` covers them both.
+shots) and counts, and those are all a cycle draws by default: after
+the per-shot photon fates, each class's summed noise is drawn directly,
+sqrt(n_c) N(0, 1) per sample, 72 normals for a default cycle instead of
+54,000. The trace is linear in the fates and the noise, and the wobble
+and low-pass are linear too, so one formula (``_phase_rows``) forms a
+phase row from either one shot's draws or their class sums
+(``analysis.class_sums``). Only ``simulate``, which logs per-shot
+traces, asks for them (``traces=True``): it draws the per-shot noise
+after the class sums and conditions it on them, so both outputs share
+their draws and a logged cycle sums to the class sums of the same seed.
+The draw-order contract of ``simulate_cycle`` covers them both.
 
 Poisson conditioning is the one subtlety: clicking selects shots with
 more transmitted photons, so the click/no-click trace difference is not
@@ -358,25 +362,33 @@ def _lowpass(traces: np.ndarray, dt: float, cutoff: float) -> None:
         traces[:, j] = acc
 
 
-def _phase_rows(rows, n_t, n_s, n_ph, eff, config) -> None:
-    """Noise rows turned in place into phase rows:
-    sigma rows + n_t phi_T1 + n_s phi_S1 (+ n_ph / mu ripple), then the
-    low-pass. A row is one shot, with its photon numbers, or one class
-    sum, with the summed numbers of its shots: every term is linear, so
-    the same formula serves both. One work array takes each term in
-    turn."""
-    work = np.empty_like(rows)
-    rows *= config.phase_noise_rms
-    rows += np.multiply.outer(n_t, eff.phi_T1, out=work)
-    rows += np.multiply.outer(n_s, eff.phi_S1, out=work)
+def _photon_terms(n_t, n_s, n_ph, eff, config):
+    """The trace's photon terms as per-shot coefficients (shots, k) and
+    their shapes (k, n_samples): n_t phi_T1 + n_s phi_S1, plus the
+    ripple n_ph / mu when the wobble is on."""
+    cols, shapes = [n_t, n_s], [eff.phi_T1, eff.phi_S1]
     if config.wobble_amplitude != 0.0:
         if config.mean_photons <= 0.0:
             raise ConfigError("wobble injection needs mean_photons > 0")
-        ripple = config.wobble_amplitude * np.sin(
-            2.0 * np.pi * config.wobble_frequency * config.sample_times()
-            + config.wobble_phase
+        cols.append(n_ph / config.mean_photons)
+        shapes.append(
+            config.wobble_amplitude
+            * np.sin(
+                2.0 * np.pi * config.wobble_frequency * config.sample_times()
+                + config.wobble_phase
+            )
         )
-        rows += np.multiply.outer(n_ph / config.mean_photons, ripple, out=work)
+    return np.column_stack(cols).astype(np.float64), np.stack(shapes)
+
+
+def _phase_rows(rows, coef, shapes, config) -> None:
+    """Noise rows turned in place into phase rows, sigma rows +
+    coef @ shapes, then the low-pass. A row is one shot, with its own
+    coefficients, or one class sum, with the summed coefficients of its
+    shots: every term is linear, so the same formula serves both. The
+    product is the one work array."""
+    rows *= config.phase_noise_rms
+    rows += coef @ shapes
     if config.lowpass_enabled:
         _lowpass(rows, config.dt, config.lowpass_cutoff)
 
@@ -393,16 +405,21 @@ def simulate_cycle(
     """All shots of one atom cycle, vectorized.
 
     The draw order (photon numbers, transmitted split, detections,
-    background uniforms, noise matrix) is part of the reproducibility
-    contract and must not change. It covers both outputs: the per-shot
-    traces (``traces=True``) and the class sums (the default) come from
-    the same draws, so their photon fates and click flags are identical.
+    background uniforms, class-sum noise, then only with ``traces`` the
+    per-shot noise matrix) is part of the reproducibility contract and
+    must not change. The per-shot traces (``traces=True``) and the class
+    sums (the default) share every draw they both make, so their photon
+    fates, click flags and class sums agree.
 
-    ``_phase_rows`` forms both: the traces from the per-shot noise rows
-    and photon numbers, the class sums from the class sums of those
-    draws (``class_sums``), without forming a per-shot trace. In exact
-    arithmetic a class sum equals the summed per-shot traces; in floats
-    it differs only in rounding.
+    The noise of a class is drawn as its sum: for n_c i.i.d. unit
+    normals that sum is sqrt(n_c) N(0, 1), one row of 2 x n_samples
+    normals. Per-shot noise rows w are drawn after it and conditioned on
+    it, z_i = w_i - mean_c(w) + S_c / n_c. The mean of i.i.d. normals is
+    independent of their deviations from it, so the z_i are exactly
+    i.i.d. unit normals with class sums S_c. ``_phase_rows`` then forms
+    the traces from the rows z and the per-shot photon numbers, or the
+    class sums from S and the summed photon numbers; in floats the
+    summed traces differ from the class sums only in rounding.
     """
     mu, tbar, eta, eff = _effective(mode, shapes, cal, config)
     shots = config.shots_per_cycle
@@ -415,20 +432,28 @@ def simulate_cycle(
     bg = u_bg < cal.p_bg
     clicked = (n_det > 0) | bg
     fates = dict(n_transmitted=n_t, n_scattered=n_s, background_clicked=bg)
-    # the noise matrix is the last draw. It becomes the traces in place,
-    # or is reduced to its class sums at once: kept to the end of the
-    # cycle, it cost threaded campaigns ~25 page faults a cycle
-    noise_shape = (shots, config.n_samples)
-    if traces:
-        rows = rng.standard_normal(noise_shape)
-        _phase_rows(rows, n_t, n_s, n_ph, eff, config)
-        return CycleData(cycle=cycle, clicked=clicked, traces=rows, **fates)
-    sums, counts = class_sums(rng.standard_normal(noise_shape), clicked)
-    summed, _ = class_sums(np.stack((n_t, n_s, n_ph), axis=1), clicked)
-    _phase_rows(sums, *summed.T, eff, config)
-    return CycleData(
-        cycle=cycle, clicked=clicked, sums=sums, counts=counts, **fates
+    coef, terms = _photon_terms(n_t, n_s, n_ph, eff, config)
+    summed, counts = class_sums(coef, clicked)
+    n_class = np.array(counts, dtype=np.float64)[:, None]
+    sums = rng.standard_normal((2, config.n_samples))
+    sums *= np.sqrt(n_class)
+    if not traces:
+        _phase_rows(sums, summed, terms, config)
+        return CycleData(
+            cycle=cycle, clicked=clicked, sums=sums, counts=counts, **fates
+        )
+    rows = rng.standard_normal((shots, config.n_samples))
+    # the conditioning shift of each class, one more linear term: the
+    # class flags select it, scaled by sigma like the noise it moves; an
+    # empty class has no shot to shift
+    shift = (sums - class_sums(rows, clicked)[0]) / np.maximum(n_class, 1.0)
+    _phase_rows(
+        rows,
+        np.column_stack((coef, clicked, ~clicked)),
+        np.concatenate((terms, config.phase_noise_rms * shift)),
+        config,
     )
+    return CycleData(cycle=cycle, clicked=clicked, traces=rows, **fates)
 
 
 def _usable_cpus() -> int:

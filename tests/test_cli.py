@@ -11,6 +11,7 @@ import pytest
 
 import negdelay.cli
 from negdelay import __version__
+from negdelay.analysis import accumulate
 from negdelay.cli import main
 from negdelay.config import SCHEMA_VERSION, default_config, load_config, parse_config
 from negdelay.errors import (
@@ -475,6 +476,29 @@ def test_analyze_of_truth_log_matches_plain_log(tmp_path):
     for csv in ("phiT_measured.csv", "ratio.csv"):
         plain = (tmp_path / "res-plain" / csv).read_bytes()
         assert (tmp_path / "res-truth" / csv).read_bytes() == plain, csv
+
+
+def test_analyze_of_log_matches_in_memory_campaign(tmp_path):
+    """Two code paths from one seed: the per-shot traces ``simulate``
+    logs, reduced by ``analyze``, and the class sums a campaign draws in
+    memory at default arguments. phi_T agrees to 1e-9 of its sigma and
+    every shot is counted."""
+    cfg = _cfg(tmp_path, TINY)
+    sim, res = tmp_path / "sim", tmp_path / "res"
+    assert main(["simulate", "--config", cfg, "--seed", "8", "--out", str(sim)]) == 0
+    log = str(sim / "shots.npz")
+    assert main(["analyze", "--config", cfg, "--log", log, "--out", str(res)]) == 0
+    run = load_config(cfg)
+    shapes, cal = negdelay.cli._prepare(run)
+    ref = accumulate(run_campaign(8, run.n_cycles, shapes, run.shot, cal))
+    t_ns, phi_urad, sigma_urad = np.loadtxt(
+        res / "phiT_measured.csv", delimiter=",", skiprows=3, unpack=True
+    )
+    gap = np.abs(phi_urad - 1e6 * ref.phi_T) / sigma_urad
+    assert np.max(gap) < 1e-9, np.max(gap)
+    ratio = (res / "ratio.csv").read_text().splitlines()[3].split(",")
+    assert (int(ratio[4]), int(ratio[5])) == (ref.n_click, ref.n_noclick)
+    assert ref.n_click + ref.n_noclick == run.n_cycles * run.shot.shots_per_cycle
 
 
 def test_analyze_rejects_foreign_log(tmp_path, capsys):
