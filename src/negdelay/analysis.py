@@ -3,12 +3,11 @@
 The estimator of the conditional phase trace is built per atom cycle:
 within one cycle, average the clicked and unclicked shots separately and
 subtract. Cycles are then treated as i.i.d. samples of that difference,
-which makes the covariance of the final mean a plain scatter estimate
-and keeps the accumulation a commutative merge of (count, mean, centred
-sum of outer products) partials, safe to parallelize. A cycle enters as
-its two class sums and counts (``class_sums``): the sampler reduces its
-draws with it where it draws the cycle, and the shot-log reader reduces
-the logged traces.
+which makes the covariance of the final mean a plain scatter estimate,
+accumulated one cycle at a time as (count, mean, centred sum of outer
+products). A cycle enters as its two class sums and counts
+(``class_sums``): the sampler reduces its draws with it where it draws
+the cycle, and the shot-log reader reduces the logged traces.
 
 Integrals use the trapezoidal rule over an index window chosen from the
 theory trace (outermost crossings of a fraction of its absolute peak),
@@ -95,20 +94,18 @@ def class_sums(
 
 
 class Accumulator:
-    """Mergeable per-cycle statistics of the click/no-click difference.
+    """Per-cycle statistics of the click/no-click difference.
 
     Holds the count, mean and centred sum of outer products (M2) of the
-    per-cycle difference traces, updated one cycle at a time (Welford)
-    and merged pairwise (Chan, Golub & LeVeque, Am. Stat. 37, 242
-    (1983)), so no large mean is ever subtracted from a large second
-    moment; plus the sums of the per-cycle class means. Every M2 term is
+    per-cycle difference traces, updated one cycle at a time (Welford),
+    so no large mean is ever subtracted from a large second moment;
+    plus the sums of the per-cycle class means. Every M2 term is
     a non-negative multiple of an outer product d d^T, so M2 is exactly
     symmetric with a non-negative diagonal. Reduction order matters only
     at float rounding level.
     """
 
     def __init__(self, n_samples: int, keep_differences: bool = False):
-        self.n_samples = n_samples
         self.n_cycles = 0
         self.n_click = 0
         self.n_noclick = 0
@@ -142,29 +139,6 @@ class Accumulator:
         self.sum_mean_nc += mean_nc
         if self.differences is not None:
             self.differences.append(diff)
-
-    def merge(self, other: "Accumulator") -> None:
-        if other.n_samples != self.n_samples:
-            raise AnalysisError("cannot merge accumulators of different widths")
-        if (self.differences is None) != (other.differences is None):
-            # the kept rows would no longer be the merged cycles
-            raise AnalysisError(
-                "cannot merge an accumulator that keeps differences with "
-                "one that does not"
-            )
-        n_a, n_b = self.n_cycles, other.n_cycles
-        n = n_a + n_b
-        if n_b:
-            delta = other.mean_diff - self.mean_diff
-            self.mean_diff += delta * (n_b / n)
-            self.m2 += other.m2 + (n_a * n_b / n) * np.outer(delta, delta)
-        self.n_cycles = n
-        self.n_click += other.n_click
-        self.n_noclick += other.n_noclick
-        self.sum_mean_c += other.sum_mean_c
-        self.sum_mean_nc += other.sum_mean_nc
-        if self.differences is not None:
-            self.differences.extend(other.differences)
 
     def result(self) -> PostSelectedResult:
         n = self.n_cycles

@@ -288,7 +288,6 @@ def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
         shapes,
         run.shot,
         cal,
-        jobs=args.jobs,
         traces=True,
     )
     _write_log(out / "shots.npz", run, args.seed, "normal", cycles, args.truth)
@@ -354,7 +353,6 @@ def _cmd_nullcheck(run: RunConfig, out: Path, args) -> int:
         run.shot,
         cal,
         mode=args.kind,
-        jobs=args.jobs,
     )
     return _analyze_cycles(run, shapes, cycles, out, args.seed, gate=True)
 
@@ -422,13 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         if name in ("simulate", "nullcheck"):
             p.add_argument("--seed", type=_at_least(0), default=0)
-            p.add_argument(
-                "--jobs",
-                type=_at_least(1),
-                default=None,
-                help="threads drawing cycles (default: every usable CPU; "
-                "output does not depend on it)",
-            )
         if name == "simulate":
             p.add_argument(
                 "--truth",

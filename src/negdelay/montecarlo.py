@@ -471,23 +471,24 @@ def run_campaign(
     config: ShotConfig,
     cal: DetectionCalibration,
     mode: str = "normal",
-    jobs: int | None = None,
     traces: bool = False,
 ) -> Iterator[CycleData]:
     """Cycles [0, n_cycles) in index order, one independent stream each.
 
     Cycle c uses np.random.default_rng([seed, c]), so any cycle can be
-    regenerated in isolation and thread fan-out cannot change results.
-    ``jobs`` threads draw the cycles: None means every CPU this process
-    may use, 1 draws them serially in the consumer's thread. At most
-    2 * jobs cycles are drawn ahead of the consumer, so memory stays
-    bounded however long the campaign. ``traces`` is passed to
-    ``simulate_cycle``: set it only where the per-shot traces are read.
+    regenerated in isolation and the fan-out cannot change results.
+    ``traces`` is passed to ``simulate_cycle``: set it only where the
+    per-shot traces are read. It also picks the fan-out. A class-sum
+    cycle is almost all photon-fate draws, which hold the interpreter
+    lock, so a second thread only adds pool overhead: those cycles are
+    drawn serially in the consumer's thread. Per-shot cycles spend most
+    of their time in ``standard_normal``, which releases the lock, so
+    one thread per usable CPU draws them (serially when only one CPU
+    is usable). At most two cycles per thread are drawn ahead of the
+    consumer, so memory stays bounded however long the campaign.
     """
     if n_cycles < 0:
         raise ConfigError("n_cycles must be non-negative")
-    if jobs is None:
-        jobs = _usable_cpus()
 
     def one(cycle: int) -> CycleData:
         rng = np.random.default_rng([seed, cycle])
@@ -495,12 +496,13 @@ def run_campaign(
             rng, shapes, config, cal, mode=mode, cycle=cycle, traces=traces
         )
 
-    if jobs <= 1:
+    threads = _usable_cpus() if traces else 1
+    if threads <= 1:
         for cycle in range(n_cycles):
             yield one(cycle)
         return
-    window = 2 * jobs
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    window = 2 * threads
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         try:
             for cycle in range(n_cycles):

@@ -120,42 +120,17 @@ def test_cycle_order_does_not_matter():
     np.testing.assert_allclose(b.phi_T, a.phi_T, rtol=1e-12)
 
 
-def test_merge_equals_single_pass():
-    rng = np.random.default_rng(6)
-    d = rng.standard_normal((10, 3))
-    cycles = _paired_cycles(list(d))
-    single = accumulate(cycles)
-    left = Accumulator(3)
-    right = Accumulator(3)
-    for c in cycles[:6]:
-        left.add_cycle(c.sums, c.counts)
-    for c in cycles[6:]:
-        right.add_cycle(c.sums, c.counts)
-    left.merge(right)
-    merged = left.result()
-    np.testing.assert_allclose(merged.cov, single.cov, rtol=1e-12, atol=1e-20)
-    np.testing.assert_allclose(merged.phi_T, single.phi_T, rtol=1e-12)
-    assert merged.n_cycles == single.n_cycles == 10
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    n_cycles=st.integers(2, 60),
-    split=st.integers(0, 60),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_covariance_holds_at_a_large_mean(n_cycles, split, seed):
-    """Cycles whose mean is 1e6 times their scatter, fed in two parts and
-    merged: the covariance matches a two-pass math.fsum reference. The
-    one-pass sum(d d^T) - n m m^T loses about eps * 1e12 of it here."""
+@given(n_cycles=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+def test_covariance_holds_at_a_large_mean(n_cycles, seed):
+    """Cycles whose mean is 1e6 times their scatter, fed to one
+    accumulator: the covariance matches a two-pass math.fsum reference.
+    The one-pass sum(d d^T) - n m m^T loses about eps * 1e12 of it here."""
     d = 1e6 + np.random.default_rng(seed).standard_normal((n_cycles, 3))
-    left, right = Accumulator(3), Accumulator(3)
-    for i, row in enumerate(d):
-        (left if i < split else right).add_cycle(
-            np.stack([row, np.zeros(3)]), (1, 1)
-        )
-    left.merge(right)
-    res = left.result()
+    acc = Accumulator(3)
+    for row in d:
+        acc.add_cycle(np.stack([row, np.zeros(3)]), (1, 1))
+    res = acc.result()
     mean = [math.fsum(col) / n_cycles for col in d.T]
     dev = d - np.array(mean)  # exact: each entry is within 2x of its mean
     ref = np.array(
@@ -167,39 +142,6 @@ def test_covariance_holds_at_a_large_mean(n_cycles, split, seed):
     np.testing.assert_allclose(res.phi_T, mean, rtol=1e-14)
     assert np.all(res.cov == res.cov.T)
     assert np.max(np.abs(res.cov - ref)) <= 1e-8 * np.max(np.diag(ref))
-
-
-def test_merge_width_mismatch():
-    with pytest.raises(AnalysisError, match="widths"):
-        Accumulator(3).merge(Accumulator(4))
-
-
-@pytest.mark.parametrize(
-    "keeps", [(True, False), (False, True)], ids=["left-keeps", "right-keeps"]
-)
-def test_merge_refuses_mixed_kept_differences(keeps):
-    """Merging would count both sides' cycles but keep one side's rows,
-    so a bootstrap on the result would resample the wrong set."""
-    left, right = (Accumulator(2, keep_differences=k) for k in keeps)
-    left.add_cycle(*class_sums(np.ones((2, 2)), np.array([True, False])))
-    right.add_cycle(*class_sums(np.ones((2, 2)), np.array([True, False])))
-    with pytest.raises(AnalysisError, match="keeps differences"):
-        left.merge(right)
-    assert left.n_cycles == 1
-
-
-def test_merge_extends_kept_differences():
-    d = np.random.default_rng(3).standard_normal((5, 2))
-    cycles = _paired_cycles(list(d))
-    left = Accumulator(2, keep_differences=True)
-    right = Accumulator(2, keep_differences=True)
-    for c in cycles[:2]:
-        left.add_cycle(c.sums, c.counts)
-    for c in cycles[2:]:
-        right.add_cycle(c.sums, c.counts)
-    left.merge(right)
-    assert left.n_cycles == len(left.differences) == 5
-    np.testing.assert_array_equal(np.asarray(left.differences), d)
 
 
 def test_empty_class_is_rejected():

@@ -114,21 +114,18 @@ def test_simulate_analyze_chain(tmp_path):
     ).read_text().splitlines()[2] == "t_ns,phi_urad,sigma_urad"
 
 
-def test_simulate_is_byte_deterministic(tmp_path):
-    """The shot log does not depend on the thread count: one thread, the
-    default (every usable CPU) and four."""
+def test_simulate_is_byte_deterministic(tmp_path, monkeypatch):
+    """The shot log does not depend on the thread count: one usable CPU
+    draws the cycles serially, four draw them on four threads."""
     cfg = _cfg(tmp_path, TINY)
     logs = []
-    for name, jobs in (
-        ("serial", ["--jobs", "1"]),
-        ("default", []),
-        ("four", ["--jobs", "4"]),
-    ):
-        out = tmp_path / name
-        argv = ["simulate", "--config", cfg, "--out", str(out), "--truth", *jobs]
+    for cpus in (1, 4):
+        monkeypatch.setattr(negdelay.montecarlo, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        argv = ["simulate", "--config", cfg, "--out", str(out), "--truth"]
         assert main(argv) == 0
         logs.append((out / "shots.npz").read_bytes())
-    assert logs[0] == logs[1] == logs[2]
+    assert logs[0] == logs[1]
 
 
 def _reference_log(cfg, seed, truth):
@@ -144,7 +141,7 @@ def _reference_log(cfg, seed, truth):
     )
     cycles = list(
         run_campaign(
-            seed, run.n_cycles, shapes, run.shot, cal, jobs=1, traces=True
+            seed, run.n_cycles, shapes, run.shot, cal, traces=True
         )
     )
     names = ["traces", "clicked"]
@@ -211,7 +208,6 @@ def test_simulate_without_cycles_writes_no_log(tmp_path, capsys):
 
 def test_failed_campaign_writes_no_log(tmp_path, monkeypatch):
     def two_cycles_then_fail(*args, **kwargs):
-        kwargs["jobs"] = 1
         cycles = run_campaign(*args, **kwargs)
         yield next(cycles)
         yield next(cycles)
@@ -300,7 +296,7 @@ def test_log_of_another_cycle_count_exits_2(tmp_path, capsys):
     short = replace(run, n_cycles=3)
     shapes, cal = negdelay.cli._prepare(short)
     cycles = run_campaign(
-        5, short.n_cycles, shapes, short.shot, cal, jobs=1, traces=True
+        5, short.n_cycles, shapes, short.shot, cal, traces=True
     )
     log = tmp_path / "short.npz"
     negdelay.cli._write_log(log, short, 5, "normal", cycles, False)
@@ -355,8 +351,10 @@ def _campaign_peak(monkeypatch, argv):
 def test_shot_log_memory_is_bounded(tmp_path, monkeypatch):
     """simulate and analyze hold one cycle's traces at a time, so only
     the per-shot click flags grow with n_cycles. simulate draws its
-    cycles serially here, which makes its peak independent of thread
-    timing; the threaded window is bounded in test_montecarlo."""
+    cycles serially here (one usable CPU), which makes its peak
+    independent of thread timing; the threaded window is bounded in
+    test_montecarlo."""
+    monkeypatch.setattr(negdelay.montecarlo, "_usable_cpus", lambda: 1)
     peaks = {}
     for n_cycles in (10, 100):
         cfg = _cfg(tmp_path, f"campaign.n_cycles = {n_cycles}\n", f"{n_cycles}.cfg")
@@ -364,7 +362,7 @@ def test_shot_log_memory_is_bounded(tmp_path, monkeypatch):
         peaks[n_cycles] = (
             _campaign_peak(
                 monkeypatch,
-                ["simulate", "--config", cfg, "--out", str(sim), "--jobs", "1"],
+                ["simulate", "--config", cfg, "--out", str(sim)],
             ),
             _traced_peak(
                 [
@@ -566,11 +564,12 @@ def test_nullcheck_gate(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["theory", "--seed", "1"], ["analyze", "--log", "shots.npz", "--jobs", "2"]],
-    ids=["theory-seed", "analyze-jobs"],
+    [["theory", "--seed", "1"], ["simulate", "--jobs", "2"]],
+    ids=["theory-seed", "simulate-jobs"],
 )
 def test_campaign_flags_only_on_campaign_commands(tmp_path, capsys, argv):
-    """--seed and --jobs exist only where a campaign is drawn."""
+    """--seed exists only where a campaign is drawn, and no command takes
+    a thread count: a campaign picks its own fan-out."""
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "x")])
     assert exc.value.code == 2
@@ -582,10 +581,8 @@ def test_campaign_flags_only_on_campaign_commands(tmp_path, capsys, argv):
     [
         (["simulate", "--seed", "-1"], "--seed: must be at least 0"),
         (["nullcheck", "--kind", "bypass_atoms", "--seed", "-1"], "at least 0"),
-        (["simulate", "--jobs", "0"], "--jobs: must be at least 1"),
-        (["simulate", "--jobs", "two"], "--jobs: invalid int value: 'two'"),
     ],
-    ids=["simulate-seed", "nullcheck-seed", "jobs-zero", "jobs-word"],
+    ids=["simulate-seed", "nullcheck-seed"],
 )
 def test_bad_campaign_flag_exits_2(tmp_path, capsys, argv, msg):
     """Flags are checked while parsing, before the output directory exists."""

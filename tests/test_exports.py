@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import negdelay
-from negdelay.analysis import IntegralResult
+from negdelay.analysis import Accumulator, IntegralResult
 from negdelay.config import RunConfig
 from negdelay.excitation import ExcitationTrace
 from negdelay.medium import MediumSpec
@@ -103,6 +103,10 @@ def test_all_resolves_and_removed_names_stay_gone():
     # the sampler always returns photon fates; the log writer picks
     for fn in (simulate_cycle, run_campaign):
         assert "truth" not in inspect.signature(fn).parameters, fn
+    # a campaign picks its own fan-out, and its cycles reach one
+    # accumulator in index order
+    assert "jobs" not in inspect.signature(run_campaign).parameters
+    assert not hasattr(Accumulator, "merge")
     # config's key table is the one place that knows the default shot
     assert all(
         f.default is dataclasses.MISSING for f in dataclasses.fields(ShotConfig)

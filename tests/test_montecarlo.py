@@ -4,6 +4,7 @@ draw-order reproducibility and the statistical closure of the generator."""
 import hashlib
 import itertools
 import math
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -231,34 +232,55 @@ def test_draw_order_contract(run, shapes, cal):
     )
 
 
-def test_thread_fanout_is_invisible(run, shapes, cal):
-    """Serial, default and three-thread campaigns agree bit for bit over
-    enough cycles to slide the in-flight window several times, whether
-    the cycles keep their traces or only their class sums."""
-    config = replace(run.shot, shots_per_cycle=40)
-    for mode, traces in itertools.product(
-        ("normal", "bypass_atoms"), (False, True)
+def _assert_same_cycles(got, want, traces):
+    assert [c.cycle for c in got] == [c.cycle for c in want]
+    for a, b in zip(got, want):
+        if traces:
+            assert np.array_equal(a.traces, b.traces)
+        else:
+            assert np.array_equal(a.sums, b.sums)
+            assert a.counts == b.counts
+        assert np.array_equal(a.clicked, b.clicked)
+        assert np.array_equal(a.n_transmitted, b.n_transmitted)
+        assert np.array_equal(a.n_scattered, b.n_scattered)
+        assert np.array_equal(a.background_clicked, b.background_clicked)
+
+
+def test_thread_fanout_is_invisible(run, shapes, cal, monkeypatch):
+    """A pooled per-shot campaign (three usable CPUs), a serial one (one
+    CPU) and a class-sum campaign each equal direct per-cycle calls of
+    simulate_cycle on default_rng([seed, c]), over enough cycles to
+    slide the in-flight window several times, with the wobble and the
+    low-pass off and on."""
+    plain = replace(run.shot, shots_per_cycle=40)
+    injected = replace(
+        plain, wobble_amplitude=1e-4, wobble_phase=0.3, lowpass_enabled=True
+    )
+    for mode, config in itertools.product(
+        ("normal", "bypass_atoms"), (plain, injected)
     ):
-        kwargs = dict(mode=mode, traces=traces)
-        serial, *threaded = (
-            list(run_campaign(2, 21, shapes, config, cal, jobs=jobs, **kwargs))
-            for jobs in (1, None, 3)
-        )
-        assert [c.cycle for c in serial] == list(range(21))
-        for campaign in threaded:
-            assert [c.cycle for c in campaign] == list(range(21))
-            for a, b in zip(serial, campaign):
-                if traces:
-                    assert np.array_equal(a.traces, b.traces)
-                else:
-                    assert np.array_equal(a.sums, b.sums)
-                    assert a.counts == b.counts
-                assert np.array_equal(a.clicked, b.clicked)
-                assert np.array_equal(a.n_transmitted, b.n_transmitted)
-                assert np.array_equal(a.n_scattered, b.n_scattered)
-                assert np.array_equal(
-                    a.background_clicked, b.background_clicked
+        for traces in (False, True):
+            direct = [
+                simulate_cycle(
+                    np.random.default_rng([2, c]),
+                    shapes,
+                    config,
+                    cal,
+                    mode=mode,
+                    cycle=c,
+                    traces=traces,
                 )
+                for c in range(21)
+            ]
+            assert [c.cycle for c in direct] == list(range(21))
+            for cpus in (1, 3) if traces else (3,):
+                monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+                campaign = list(
+                    run_campaign(
+                        2, 21, shapes, config, cal, mode=mode, traces=traces
+                    )
+                )
+                _assert_same_cycles(campaign, direct, traces)
 
 
 def _injected(shot):
@@ -496,32 +518,55 @@ def test_conditioned_shot_rows_are_iid_unit_normals(run, shapes, cal):
 
 
 def test_threaded_campaign_is_lazy(run, shapes, cal, monkeypatch):
-    """Taking one cycle of a long campaign draws only the in-flight
-    window, and closing the generator returns without drawing the rest."""
+    """Taking one cycle of a long per-shot campaign on two usable CPUs
+    draws only the in-flight window, on worker threads, and closing the
+    generator returns without drawing the rest."""
     calls = []
     real = montecarlo.simulate_cycle
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["cycle"])
+        calls.append(threading.get_ident())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "simulate_cycle", counted)
+    threads = 2
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: threads)
     config = replace(run.shot, shots_per_cycle=20)
-    jobs = 2
-    campaign = run_campaign(4, 1000, shapes, config, cal, jobs=jobs)
+    campaign = run_campaign(4, 1000, shapes, config, cal, traces=True)
     assert next(campaign).cycle == 0
-    assert len(calls) <= 2 * jobs + jobs
+    assert len(calls) <= 2 * threads + threads
     start = time.perf_counter()
     campaign.close()
     assert time.perf_counter() - start < 5.0
-    assert len(calls) <= 2 * jobs + jobs
+    assert len(calls) <= 2 * threads + threads
+    assert threading.get_ident() not in calls
 
 
-def test_worker_error_surfaces(run, shapes):
+def test_class_sum_campaign_is_drawn_serially(run, shapes, cal, monkeypatch):
+    """Class-sum cycles are drawn in the consumer's thread, one at a
+    time, however many CPUs are usable."""
+    threads = []
+    real = montecarlo.simulate_cycle
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate_cycle", recorded)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    config = replace(run.shot, shots_per_cycle=20)
+    campaign = run_campaign(4, 1000, shapes, config, cal)
+    assert next(campaign).cycle == 0
+    assert threads == [threading.get_ident()]
+    campaign.close()
+
+
+def test_worker_error_surfaces(run, shapes, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     config = replace(run.shot, mean_photons=0.0, wobble_amplitude=0.01)
     cal = calibrate_detection(0.5, 100.0, 0.0, 0.0)
     with pytest.raises(ConfigError, match="wobble"):
-        list(run_campaign(0, 12, shapes, config, cal, jobs=2))
+        list(run_campaign(0, 12, shapes, config, cal, traces=True))
 
 
 def test_seed_reproducibility(run, shapes, cal):
