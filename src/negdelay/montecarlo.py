@@ -230,7 +230,7 @@ def derive_shapes(
     medium: MediumSpec,
     pulse: PulseSpec,
     config: ShotConfig,
-    n_atoms: int = 64,
+    n_atoms: int,
     snap_every: int = 64,
 ) -> PerPhotonShapes:
     """Per-photon phase shapes: conditional trace from the collision

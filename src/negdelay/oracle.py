@@ -21,11 +21,20 @@ resonance settles to the discrete steady-state amplitude ratio
 
     t(0) = (cos(th) - d) / (1 - d cos(th)),    d = exp(-gamma_s dt / 2)
 
-and th is chosen so t(0) equals the target slab attenuation
-exp(-od_1 / 2) with od_1 = od / N per emitter. The forward coupling rate
-implied by th is gamma_f = th^2 / dt and the side rate gamma_s =
-gamma - gamma_f, which feeds back into d; the two-line fixed point
-converges in a handful of iterations.
+where the rotation takes the forward coupling rate gamma_f = th^2 / dt out
+of the linewidth, leaving the side rate gamma_s = gamma - gamma_f. th is
+chosen so t(0) equals the target slab attenuation exp(-od_1 / 2) with
+od_1 = od / N per emitter. On the bracket [0, sqrt(gamma dt)] t(0) falls
+monotonically from 1 to -1, since a falling cos(th) and a rising d both
+lower it, so th is found by bisection, halved until the midpoint equals
+an endpoint. The comparison is made in a form with no cancellation,
+
+    1 - t(0) = (1 + d)(1 - cos(th)) / ((1 - d) + d (1 - cos(th)))
+
+with 1 - d = -expm1(-gamma_s dt / 2) and 1 - cos(th) = 2 sin^2(th / 2),
+against 1 - exp(-od_1 / 2) = -expm1(-od_1 / 2). Near th = 0 the ratio
+itself lies within od_1 / 2 of 1, and comparing it directly, or inverting
+it through arccos, loses digits there.
 
 Each emitter is a first-order linear filter on the bin stream. With
 hd = exp(-gamma_s dt / 4), p = cos(th) hd^2 and q = -i sin(th) hd, one step
@@ -89,7 +98,7 @@ STEP_LIFETIME_FRACTION = 0.02
 #: ceiling relative to the pulse duration
 STEP_SIGMA_FRACTION = 0.05
 #: weak-extinction bound per emitter; beyond it the chain no longer
-#: approximates a Lorentzian slab even though the calibration converges
+#: approximates a Lorentzian slab, though its calibration stays exact
 MAX_OD_PER_ATOM = 0.25
 #: zero padding of the FFT frame past the pulse grid, in natural lifetimes
 PAD_LIFETIMES = 48
@@ -122,46 +131,9 @@ class WeakTrace:
         return float(np.trapezoid(self.population, dx=self.dt))
 
 
-def calibrate_rotation(
-    od_per_atom: float, gamma: float, dt: float
-) -> tuple[float, float]:
-    """Rotation angle and side rate hitting the exact resonant attenuation.
-
-    Solves the fixed point theta <-> gamma_side described in the module
-    docstring. Raises if the per-emitter depth demands more forward
-    coupling than the total linewidth allows (use more emitters).
-    """
-    if od_per_atom < 0.0:
-        raise ConvergenceError("per-emitter depth must be non-negative")
-    tau = np.exp(-od_per_atom / 2.0)
-    theta = float(np.sqrt(gamma * dt * (1.0 - tau) / 2.0))
-    theta_prev = np.nan
-    for _ in range(200):
-        gamma_f = theta**2 / dt
-        gamma_s = gamma - gamma_f
-        if gamma_s < 0.0:
-            raise ConvergenceError(
-                f"per-emitter depth {od_per_atom:.3g} exceeds the linewidth "
-                "budget; increase n_atoms"
-            )
-        d = np.exp(-gamma_s * dt / 2.0)
-        theta_new = float(np.arccos((tau + d) / (1.0 + tau * d)))
-        if abs(theta_new - theta) < 1e-15:
-            return theta_new, gamma - theta_new**2 / dt
-        if theta_new == theta_prev:
-            # arccos slope ~1/theta turns one ulp of the argument into a
-            # period-2 orbit wider than the tolerance; settle on its midpoint
-            theta = 0.5 * (theta + theta_new)
-            return theta, gamma - theta**2 / dt
-        theta_prev = theta
-        theta = theta_new
-    raise ConvergenceError("rotation-angle fixed point did not converge")
-
-
-def build_model(
-    medium: MediumSpec, dt: float, n_atoms: int = 64
-) -> tuple[float, float]:
-    """Rotation angle and side rate of the chain for one step size."""
+def build_model(medium: MediumSpec, dt: float, n_atoms: int) -> tuple[float, float]:
+    """Rotation angle and side rate of the chain for one step size,
+    calibrated to the exact resonant attenuation exp(-od / 2 n_atoms)."""
     if n_atoms < 1:
         raise ConvergenceError("need at least one emitter")
     if dt <= 0.0:
@@ -178,7 +150,20 @@ def build_model(
             f"per-emitter depth {od_per_atom:.3g} exceeds the "
             f"weak-extinction bound {MAX_OD_PER_ATOM}; increase n_atoms"
         )
-    return calibrate_rotation(od_per_atom, medium.gamma, dt)
+    gamma, target = medium.gamma, -math.expm1(-od_per_atom / 2.0)
+    lo, hi = 0.0, math.sqrt(gamma * dt)
+    theta = hi / 2.0
+    while lo < theta < hi:
+        # 1 - t(0) in the cancellation-free form of the module docstring
+        x = (gamma - theta**2 / dt) * dt / 2.0
+        d, one_minus_c = math.exp(-x), 2.0 * math.sin(theta / 2.0) ** 2
+        deficit = (1.0 + d) * one_minus_c / (-math.expm1(-x) + d * one_minus_c)
+        if deficit < target:
+            lo = theta
+        else:
+            hi = theta
+        theta = (lo + hi) / 2.0
+    return theta, gamma - theta**2 / dt
 
 
 def max_step(medium: MediumSpec, sigma_rms: float) -> float:
@@ -207,7 +192,7 @@ def _frame_length(n_steps: int, gamma: float, dt: float) -> int:
 
 
 def weak_excitation_trace(
-    sig: SampledSignal, medium: MediumSpec, n_atoms: int = 64
+    sig: SampledSignal, medium: MediumSpec, n_atoms: int
 ) -> WeakTrace:
     """Conditional and unconditioned excitation traces for one pulse.
 

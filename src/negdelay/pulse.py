@@ -58,7 +58,7 @@ class SampledSignal:
     """Uniformly sampled complex field on a time grid.
 
     ``dt`` is the sample step and ``t0`` the first sample time, seconds.
-    Length must be a power of two (>= 2) for the FFTs.
+    It holds at least two samples; any length suits the FFTs.
     """
 
     dt: float
@@ -69,8 +69,8 @@ class SampledSignal:
         if not self.dt > 0.0:
             raise ConfigError(f"sample step must be > 0, got {self.dt}")
         n = len(self.samples)
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ConfigError(f"sample count must be a power of two >= 2, got {n}")
+        if n < 2:
+            raise ConfigError(f"sample count must be >= 2, got {n}")
         object.__setattr__(
             self, "samples", np.ascontiguousarray(self.samples, dtype=np.complex128)
         )

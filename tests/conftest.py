@@ -24,12 +24,12 @@ def fine_sig(run):
 
 @pytest.fixture(scope="session")
 def weak(run, fine_sig):
-    return weak_excitation_trace(fine_sig, run.medium)
+    return weak_excitation_trace(fine_sig, run.medium, run.n_atoms)
 
 
 @pytest.fixture(scope="session")
 def shapes(run):
-    return derive_shapes(run.medium, run.pulse, run.shot)
+    return derive_shapes(run.medium, run.pulse, run.shot, run.n_atoms)
 
 
 @pytest.fixture(scope="session")

@@ -204,7 +204,7 @@ def test_criterion_04_sign_structure(run, fine_sig, weak):
     m = replace(run.medium, od=3.0)
     sig = fine_signal(m, replace(run.pulse, sigma_rms=36e-9))
     sp_neg = spectral_report(sig, m).ratio
-    tr = weak_excitation_trace(sig, m)
+    tr = weak_excitation_trace(sig, m, run.n_atoms)
     or_neg = tr.tau_transmitted() / tr.tau_unconditioned()
     _report(
         4,
@@ -224,7 +224,7 @@ def test_criterion_05_oracle_matches_spectral(run):
             m = replace(run.medium, od=od)
             sig = fine_signal(m, replace(run.pulse, sigma_rms=sigma_ns * 1e-9))
             tau_sp = transmitted_excitation_time(sig, m)
-            tau_or = weak_excitation_trace(sig, m).tau_transmitted()
+            tau_or = weak_excitation_trace(sig, m, run.n_atoms).tau_transmitted()
             tau_0 = mean_excitation_time(sig, m)
             worst = max(worst, abs(tau_or - tau_sp) / abs(tau_0))
     elapsed = time.perf_counter() - t_start
@@ -240,7 +240,7 @@ def test_criterion_05_oracle_matches_spectral(run):
 def test_criterion_06_quadrature_consistency(run, weak):
     m = replace(run.medium, od=3.0)
     sig36 = fine_signal(m, replace(run.pulse, sigma_rms=36e-9))
-    tr36 = weak_excitation_trace(sig36, m)
+    tr36 = weak_excitation_trace(sig36, m, run.n_atoms)
     devs = []
     for tr in (weak, tr36):
         full = tr.tau_transmitted()

@@ -18,7 +18,12 @@ from negdelay.excitation import (
 )
 from negdelay.medium import conversion_factor, group_delay, transfer_function
 from negdelay.montecarlo import fine_signal
-from negdelay.pulse import PulseSpec, grid_frequencies, transmission_probability
+from negdelay.pulse import (
+    PulseSpec,
+    gaussian_field,
+    grid_frequencies,
+    transmission_probability,
+)
 
 
 def test_conservation_at_default_point(run, fine_sig):
@@ -53,22 +58,32 @@ def _complex_slab_population(sig, medium):
     return values
 
 
+_PARITY_CASES = [
+    (36.0, 4.0, 0.0, None),
+    (10.0, 8.0, 0.0, None),
+    (150.0, 0.5, 0.0, None),
+    # a complex field: its real and imaginary parts excite the slabs apart
+    (18.0, 3.0, 0.5, None),
+    # an odd grid
+    (36.0, 4.0, 0.0, 4095),
+]
+
+
 @pytest.mark.parametrize(
-    "sigma_ns, od, detuning",
-    [
-        (36.0, 4.0, 0.0),
-        (10.0, 8.0, 0.0),
-        (150.0, 0.5, 0.0),
-        # a complex field: its real and imaginary parts excite the slabs apart
-        (18.0, 3.0, 0.5),
+    "sigma_ns, od, detuning, n",
+    _PARITY_CASES,
+    ids=[
+        "-".join(map(str, case[:3])) + (f"-n{case[3]}" if case[3] else "")
+        for case in _PARITY_CASES
     ],
 )
-def test_real_transforms_match_complex_reference(run, sigma_ns, od, detuning):
+def test_real_transforms_match_complex_reference(run, sigma_ns, od, detuning, n):
     m = replace(run.medium, od=od)
     pulse = PulseSpec(
         sigma_rms=sigma_ns * 1e-9, center_detuning=detuning * m.gamma
     )
-    sig = fine_signal(m, pulse)
+    # the default grid is fine_signal's; an explicit n overrides it
+    sig = fine_signal(m, pulse) if n is None else gaussian_field(pulse, m.gamma, n=n)
     got = excited_population(sig, m).values
     ref = _complex_slab_population(sig, m)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)

@@ -19,9 +19,11 @@ from negdelay.montecarlo import (
     DetectionCalibration,
     PerPhotonShapes,
     ShotConfig,
+    derive_shapes,
     run_campaign,
     simulate_cycle,
 )
+from negdelay.oracle import build_model, weak_excitation_trace
 from negdelay.pulse import PulseSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,9 +110,13 @@ def test_all_resolves_and_removed_names_stay_gone():
     assert "jobs" not in inspect.signature(run_campaign).parameters
     assert not hasattr(Accumulator, "merge")
     # config's key table is the one place that knows the default shot
+    # and the default emitter count
     assert all(
         f.default is dataclasses.MISSING for f in dataclasses.fields(ShotConfig)
     )
+    for fn in (build_model, weak_excitation_trace, derive_shapes):
+        param = inspect.signature(fn).parameters["n_atoms"]
+        assert param.default is inspect.Parameter.empty, fn
 
 
 def _exports(tree):

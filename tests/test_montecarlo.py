@@ -701,7 +701,7 @@ def test_shape_decomposition_guard():
 
 def test_transparent_medium_shapes(run):
     m0 = replace(run.medium, od=0.0)
-    sh = derive_shapes(m0, run.pulse, run.shot)
+    sh = derive_shapes(m0, run.pulse, run.shot, run.n_atoms)
     assert sh.all_transmitted
     assert sh.tbar == pytest.approx(1.0, abs=1e-12)
     assert not np.any(sh.phi_S1)
@@ -716,7 +716,7 @@ def test_ratio_estimate_is_scale_free(run, shapes, cal):
     strong = replace(
         run.medium, sigma0_over_area=3.0 * run.medium.sigma0_over_area
     )
-    shapes_b = derive_shapes(strong, run.pulse, run.shot)
+    shapes_b = derive_shapes(strong, run.pulse, run.shot, run.n_atoms)
     config = replace(run.shot, phase_noise_rms=0.0, shots_per_cycle=300)
     window = integration_window(shapes.phi_T1, run.window_fraction)
 

@@ -6,6 +6,7 @@ real-arithmetic transforms with a complex-FFT reference cascade."""
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from negdelay.oracle import (
     STEP_SIGMA_FRACTION,
     _frame_length,
     build_model,
-    calibrate_rotation,
     max_step,
     weak_excitation_trace,
 )
@@ -43,12 +43,34 @@ def _resonant_amplitude(theta, gamma_side, dt):
 
 @pytest.mark.parametrize("od1", [1e-4, 0.01, 0.0625, 0.2, 0.25])
 @pytest.mark.parametrize("dt", [5.2e-10, 1.3916015625e-10, 5e-11])
-def test_calibration_hits_beer_lambert_amplitude(od1, dt):
-    theta, gamma_side = calibrate_rotation(od1, GAMMA, dt)
+def test_calibration_hits_beer_lambert_amplitude(run, od1, dt):
+    m = replace(run.medium, od=od1, gamma=GAMMA)
+    theta, gamma_side = build_model(m, dt, 1)
     got = _resonant_amplitude(theta, gamma_side, dt)
     assert abs(got - np.exp(-od1 / 2.0)) < 1e-12
     assert theta > 0.0
     assert gamma_side >= 0.0
+
+
+@pytest.mark.parametrize("od1", [0.0, 1e-4, 0.01, 0.0625, 0.2, MAX_OD_PER_ATOM])
+@pytest.mark.parametrize("dt", [5e-11, 1.3916015625e-10, "max"])
+def test_calibration_is_exact_in_40_digits(run, od1, dt):
+    """The calibrated angle and side rate, taken as exact numbers, give a
+    resonant amplitude ratio within 1e-15 of exp(-od_1 / 2), evaluated in
+    40-digit arithmetic, from the bracket [0, sqrt(gamma dt)]."""
+    m = replace(run.medium, od=od1)
+    if dt == "max":
+        dt = STEP_LIFETIME_FRACTION / m.gamma
+    theta, gamma_side = build_model(m, dt, 1)
+    assert 0.0 <= theta <= math.sqrt(m.gamma * dt)
+    assert gamma_side >= 0.0
+    if od1 == 0.0:
+        assert theta == 0.0 and gamma_side == m.gamma
+    with mpmath.workdps(40):
+        d = mpmath.exp(-mpmath.mpf(gamma_side) * mpmath.mpf(dt) / 2)
+        c = mpmath.cos(mpmath.mpf(theta))
+        miss = (c - d) / (1 - d * c) - mpmath.exp(-mpmath.mpf(od1) / 2)
+        assert abs(miss) <= 1e-15
 
 
 def test_build_model_rejects_strong_per_emitter_coupling(run, fine_sig):
@@ -61,9 +83,9 @@ def test_build_model_validation(run, fine_sig):
     with pytest.raises(ConvergenceError, match="at least one emitter"):
         build_model(run.medium, fine_sig.dt, n_atoms=0)
     with pytest.raises(ConfigError, match="time step must be positive"):
-        build_model(run.medium, 0.0)
+        build_model(run.medium, 0.0, run.n_atoms)
     with pytest.raises(ConfigError, match="time step .* exceeds"):
-        build_model(run.medium, 1e-9)
+        build_model(run.medium, 1e-9, run.n_atoms)
 
 
 def test_max_step_regimes(run):
@@ -88,7 +110,7 @@ def test_single_emitter_long_pulse_transmission(run):
 def test_narrowband_time_approaches_group_delay(run):
     m = replace(run.medium, od=2.0)
     sig = fine_signal(m, PulseSpec(sigma_rms=300e-9))
-    tau = weak_excitation_trace(sig, m).tau_transmitted()
+    tau = weak_excitation_trace(sig, m, run.n_atoms).tau_transmitted()
     assert abs(tau + 52e-9) < 0.05 * 52e-9
     assert tau == pytest.approx(-5.121833787409131e-08, rel=1e-9)
 
@@ -101,7 +123,7 @@ def test_matches_spectral_route_at_default_point(run, fine_sig, weak):
 
 
 def test_chain_conserves_probability(run, fine_sig, weak):
-    _, gamma_side = build_model(run.medium, fine_sig.dt)
+    _, gamma_side = build_model(run.medium, fine_sig.dt, run.n_atoms)
     total = weak.transmission + gamma_side * weak.tau_unconditioned()
     assert abs(total - 1.0) < 2e-6
 
@@ -122,7 +144,7 @@ def test_truncated_ringdown_is_rejected(run, fine_sig):
         samples=np.roll(fine_sig.samples, 3000),
     )
     with pytest.raises(ConfigError, match="residual excitation"):
-        weak_excitation_trace(shifted, run.medium)
+        weak_excitation_trace(shifted, run.medium, run.n_atoms)
 
 
 def test_two_tone_mixture_averages_frequency_diagonally(run):
@@ -133,10 +155,10 @@ def test_two_tone_mixture_averages_frequency_diagonally(run):
     pb = PulseSpec(sigma_rms=150e-9, center_detuning=m.gamma)
     sa = gaussian_field(pa, m.gamma, n=8192)
     sb = gaussian_field(pb, m.gamma, n=8192)
-    tra = weak_excitation_trace(sa, m)
-    trb = weak_excitation_trace(sb, m)
+    tra = weak_excitation_trace(sa, m, run.n_atoms)
+    trb = weak_excitation_trace(sb, m, run.n_atoms)
     mix = SampledSignal(dt=sa.dt, t0=sa.t0, samples=sa.samples + sb.samples)
-    trm = weak_excitation_trace(mix, m)
+    trm = weak_excitation_trace(mix, m, run.n_atoms)
     expected = (
         tra.transmission * tra.tau_transmitted()
         + trb.transmission * trb.tau_transmitted()
@@ -153,15 +175,15 @@ def test_emitter_count_convergence(run, fine_sig, weak):
 def test_time_step_convergence(run):
     coarse = gaussian_field(run.pulse, run.medium.gamma, n=4096)
     fine = gaussian_field(run.pulse, run.medium.gamma, n=8192)
-    a = weak_excitation_trace(coarse, run.medium).tau_transmitted()
-    b = weak_excitation_trace(fine, run.medium).tau_transmitted()
+    a = weak_excitation_trace(coarse, run.medium, run.n_atoms).tau_transmitted()
+    b = weak_excitation_trace(fine, run.medium, run.n_atoms).tau_transmitted()
     assert abs(b - a) / abs(b) < 0.01
 
 
 def test_conditional_trace_goes_negative(run):
     m = replace(run.medium, od=3.0)
     sig = fine_signal(m, PulseSpec(sigma_rms=36e-9))
-    tr = weak_excitation_trace(sig, m)
+    tr = weak_excitation_trace(sig, m, run.n_atoms)
     assert tr.weak.min() < 0.0
     assert tr.population.min() >= 0.0
 
@@ -262,7 +284,7 @@ def test_fft_cascade_matches_step_loop(run, sigma_ns, od, detuning):
         sigma_rms=sigma_ns * 1e-9, center_detuning=detuning * m.gamma
     )
     sig = fine_signal(m, pulse)
-    tr = weak_excitation_trace(sig, m)
+    tr = weak_excitation_trace(sig, m, run.n_atoms)
     weak, population, transmission = _step_loop_trace(sig, m)
     rtol = 1e-12
     # traces cross zero, so compare them against their own peak
@@ -340,6 +362,8 @@ _PARITY_CASES = [
     (150.0, 4.0, 64, 8192, 0.5),
     # an odd frame (3^8 = 6561 points)
     (95.0, 4.0, 64, 4096, 0.0),
+    # an odd grid
+    (36.0, 4.0, 64, 4095, 0.0),
 ]
 
 
@@ -358,8 +382,7 @@ def test_real_transforms_match_complex_reference(
     pulse = PulseSpec(
         sigma_rms=sigma_ns * 1e-9, center_detuning=detuning * m.gamma
     )
-    sig = fine_signal(m, pulse)
-    assert sig.n == grid
+    sig = gaussian_field(pulse, m.gamma, n=grid)
     if sigma_ns == 95.0:
         assert _frame_length(sig.n, m.gamma, sig.dt) == 6561
     tr = weak_excitation_trace(sig, m, n_atoms=n_atoms)
