@@ -1,4 +1,17 @@
-"""Excited-atom population driven by a pulse crossing the cloud.
+"""Excited-atom population and spectral observables of a pulse crossing
+the cloud.
+
+Spectra follow the transform convention
+
+    E~(delta) = integral E(t) exp(+i delta t) dt
+    E(t)      = integral E~(delta) exp(-i delta t) ddelta / (2 pi)
+
+realized as an FFT pair on the pulse grid: ``np.fft.ifft`` carries
+exp(+i delta t), so its bin k sits at delta_k = 2 pi f_k with f_k from
+``np.fft.fftfreq``. Propagation through the medium multiplies the
+spectrum by the transfer function t(delta). Every observable here works
+with grid-relative phases, so the absolute grid origin only matters
+when comparing traces between grids.
 
 The cloud is split into thin slabs of equal optical depth. A slab at
 cumulative depth od_k sees the field filtered by the medium in front of
@@ -16,10 +29,12 @@ every scattered photon spends on average one natural lifetime as atomic
 excitation, so gamma * integral(N_e dt) = 1 - T (the scattering
 probability), which is the primary correctness check of the model.
 
-Two excitation-time observables are defined per photon:
+The spectral route gives the mean power transmission and two
+excitation-time observables per photon:
 
+    T     = integral(|E~ t|^2) / integral(|E~|^2)
     tau_0 = (1 - T)/gamma            averaged over all incident photons
-    tau_T = transmitted-power-weighted group delay
+    tau_T = integral(|E~ t|^2 tau_g) / integral(|E~ t|^2)
                                      for post-selected transmitted photons
 
 The spectral tau_T estimator here assumes each monochromatic component
@@ -36,12 +51,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .medium import MediumSpec, conversion_factor, group_delay, transfer_function
-from .pulse import SampledSignal, grid_frequencies, transmission_probability
+from .pulse import SampledSignal
 
 __all__ = [
     "excited_population",
-    "mean_excitation_time",
-    "transmitted_excitation_time",
     "spectral_report",
     "phi0_trace",
 ]
@@ -73,6 +86,7 @@ class ExcitationTrace:
 class ExcitationReport:
     """Summary observables for one (pulse, medium) operating point."""
 
+    transmission: float
     tau_0: float
     tau_T: float
     ratio: float
@@ -105,31 +119,23 @@ def excited_population(sig: SampledSignal, medium: MediumSpec) -> ExcitationTrac
     return ExcitationTrace(dt=sig.dt, values=values)
 
 
-def mean_excitation_time(sig: SampledSignal, medium: MediumSpec) -> float:
-    """tau_0 = (1 - T)/gamma, seconds (all incident photons)."""
-    return (1.0 - transmission_probability(sig, medium)) / medium.gamma
-
-
-def transmitted_excitation_time(sig: SampledSignal, medium: MediumSpec) -> float:
-    """Spectral estimate of tau_T, seconds (transmitted photons).
-
-    Transmitted-power-weighted group delay:
-    tau_T = integral(|E~ t|^2 tau_g) / integral(|E~ t|^2).
-    """
-    delta = grid_frequencies(sig.n, sig.dt)
-    w_out = np.abs(
-        np.fft.ifft(sig.samples)
-        * transfer_function(delta, medium.od, medium.gamma)
-    ) ** 2
-    tg = group_delay(delta, medium.od, medium.gamma)
-    return float(np.sum(w_out * tg) / np.sum(w_out))
-
-
 def spectral_report(sig: SampledSignal, medium: MediumSpec) -> ExcitationReport:
-    tau0 = mean_excitation_time(sig, medium)
-    tauT = transmitted_excitation_time(sig, medium)
+    """T, tau_0 and tau_T (seconds) from one transform of the pulse.
+
+    T tends to exp(-od) in the narrowband limit; all three are invariant
+    under time shifts of the input.
+    """
+    delta = 2.0 * np.pi * np.fft.fftfreq(sig.n, d=sig.dt)
+    spectrum = np.fft.ifft(sig.samples)
+    t = transfer_function(delta, medium.od, medium.gamma)
+    w = np.abs(spectrum) ** 2
+    tbar = float(np.sum(w * np.abs(t) ** 2) / np.sum(w))
+    tau0 = (1.0 - tbar) / medium.gamma
+    w_out = np.abs(spectrum * t) ** 2
+    tg = group_delay(delta, medium.od, medium.gamma)
+    tauT = float(np.sum(w_out * tg) / np.sum(w_out))
     ratio = tauT / tau0 if tau0 != 0.0 else float("nan")
-    return ExcitationReport(tau_0=tau0, tau_T=tauT, ratio=ratio)
+    return ExcitationReport(transmission=tbar, tau_0=tau0, tau_T=tauT, ratio=ratio)
 
 
 def phi0_trace(sig: SampledSignal, medium: MediumSpec) -> np.ndarray:

@@ -53,16 +53,10 @@ import numpy as np
 
 from .analysis import class_sums
 from .errors import ConfigError
-from .excitation import phi0_trace
+from .excitation import phi0_trace, spectral_report
 from .medium import MediumSpec, conversion_factor
 from .oracle import max_step, weak_excitation_trace
-from .pulse import (
-    LEAD_SIGMAS,
-    TAIL_LIFETIMES,
-    PulseSpec,
-    gaussian_field,
-    transmission_probability,
-)
+from .pulse import LEAD_SIGMAS, TAIL_LIFETIMES, PulseSpec, gaussian_field
 
 __all__ = [
     "ShotConfig",
@@ -243,7 +237,7 @@ def derive_shapes(
     weak = weak_excitation_trace(sig, medium, n_atoms=n_atoms)
     phi_t_fine = conv * weak.weak
     phi_0_fine = phi0_trace(sig, medium)
-    tbar = transmission_probability(sig, medium)
+    tbar = spectral_report(sig, medium).transmission
 
     # detection-window bin edges expressed on the pulse time axis
     edges = (

@@ -151,6 +151,10 @@ def build_model(medium: MediumSpec, dt: float, n_atoms: int) -> tuple[float, flo
             f"weak-extinction bound {MAX_OD_PER_ATOM}; increase n_atoms"
         )
     gamma, target = medium.gamma, -math.expm1(-od_per_atom / 2.0)
+    if target == 0.0:
+        # a transparent emitter does not rotate; bisecting toward 0 would
+        # halve theta through the subnormals
+        return 0.0, gamma
     lo, hi = 0.0, math.sqrt(gamma * dt)
     theta = hi / 2.0
     while lo < theta < hi:

@@ -1,17 +1,9 @@
-"""Sampled Gaussian pulses and their transmission through the medium.
+"""Sampled Gaussian pulses on uniform time grids.
 
 Fields are complex envelopes E(t) on a uniform grid, normalized so that
-sum(|E|^2) * dt = 1 (one photon's worth of probability per pulse). The
-transform convention is
-
-    E~(delta) = integral E(t) exp(+i delta t) dt
-    E(t)      = integral E~(delta) exp(-i delta t) ddelta / (2 pi)
-
-realized as a unitary FFT pair. Propagation through the medium multiplies
-the spectrum by the transfer function t(delta); everything downstream
-(transmission probability, excitation kernels, spectral time estimators)
-works with grid-relative phases, so the absolute grid origin only matters
-when comparing traces between grids.
+sum(|E|^2) * dt = 1 (one photon's worth of probability per pulse). Their
+spectra and propagation through the medium live in
+``negdelay.excitation``.
 
 Duration convention: ``sigma_rms`` is the rms width of the *intensity*
 profile, so the field envelope is exp(-t^2 / (4 sigma^2)) and the spectral
@@ -25,13 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .medium import MediumSpec, transfer_function
 
 __all__ = [
     "PulseSpec",
     "SampledSignal",
     "gaussian_field",
-    "transmission_probability",
 ]
 
 EDGE_GUARD = 1e-8  # max allowed |E| at grid edges, relative to peak
@@ -118,19 +108,3 @@ def gaussian_field(pulse: PulseSpec, gamma: float, n: int = 4096) -> SampledSign
     env /= np.sqrt(np.sum(np.abs(env) ** 2) * dt)
     return SampledSignal(dt=dt, t0=t_lo, samples=env)
 
-
-def grid_frequencies(n: int, dt: float) -> np.ndarray:
-    """Angular frequencies of the length-n DFT, in FFT ordering."""
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
-
-
-def transmission_probability(sig: SampledSignal, medium: MediumSpec) -> float:
-    """Mean power transmission of the pulse through the medium.
-
-    T = integral(|E~ t|^2) / integral(|E~|^2); tends to exp(-od) in the
-    narrowband limit and is invariant under time shifts of the input.
-    """
-    delta = grid_frequencies(sig.n, sig.dt)
-    w = np.abs(np.fft.ifft(sig.samples)) ** 2
-    power_t = np.abs(transfer_function(delta, medium.od, medium.gamma)) ** 2
-    return float(np.sum(w * power_t) / np.sum(w))

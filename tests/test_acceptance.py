@@ -34,10 +34,8 @@ from negdelay.analysis import (
 )
 from negdelay.excitation import (
     excited_population,
-    mean_excitation_time,
     phi0_trace,
     spectral_report,
-    transmitted_excitation_time,
 )
 from negdelay.medium import group_delay, transfer_function
 from negdelay.montecarlo import (
@@ -48,7 +46,6 @@ from negdelay.montecarlo import (
     run_campaign,
 )
 from negdelay.oracle import weak_excitation_trace
-from negdelay.pulse import transmission_probability
 
 REDUCED_NOISE = 0.012  # rad; default 0.120 scaled down tenfold
 
@@ -144,7 +141,7 @@ def test_criterion_01_conservation_sweep(run):
             sig = fine_signal(m, replace(run.pulse, sigma_rms=sigma_ns * 1e-9))
             budget = (
                 m.gamma * excited_population(sig, m).integral()
-                + transmission_probability(sig, m)
+                + spectral_report(sig, m).transmission
             )
             worst = max(worst, abs(budget - 1.0))
     elapsed = time.perf_counter() - t_start
@@ -163,7 +160,7 @@ def test_criterion_02_analytic_limits(run):
     for od in (1.0, 4.0):
         m = replace(run.medium, od=od)
         sig = fine_signal(m, replace(run.pulse, sigma_rms=700e-9))
-        got = mean_excitation_time(sig, m)
+        got = spectral_report(sig, m).tau_0
         worst_nb = max(worst_nb, abs(got * gamma / (1.0 - math.exp(-od)) - 1.0))
 
     h = 1e-7 * gamma
@@ -223,10 +220,9 @@ def test_criterion_05_oracle_matches_spectral(run):
         for od in (2.0, 3.0, 4.0):
             m = replace(run.medium, od=od)
             sig = fine_signal(m, replace(run.pulse, sigma_rms=sigma_ns * 1e-9))
-            tau_sp = transmitted_excitation_time(sig, m)
+            rep = spectral_report(sig, m)
             tau_or = weak_excitation_trace(sig, m, run.n_atoms).tau_transmitted()
-            tau_0 = mean_excitation_time(sig, m)
-            worst = max(worst, abs(tau_or - tau_sp) / abs(tau_0))
+            worst = max(worst, abs(tau_or - rep.tau_T) / abs(rep.tau_0))
     elapsed = time.perf_counter() - t_start
     _report(
         5,

@@ -11,23 +11,21 @@ from negdelay.errors import ConfigError
 from negdelay.excitation import (
     ExcitationTrace,
     excited_population,
-    mean_excitation_time,
     phi0_trace,
     spectral_report,
-    transmitted_excitation_time,
 )
 from negdelay.medium import conversion_factor, group_delay, transfer_function
 from negdelay.montecarlo import fine_signal
-from negdelay.pulse import (
-    PulseSpec,
-    gaussian_field,
-    grid_frequencies,
-    transmission_probability,
-)
+from negdelay.pulse import PulseSpec, gaussian_field
+
+
+def _frequencies(sig):
+    """Angular frequencies of the pulse grid's DFT bins, in FFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(sig.n, d=sig.dt)
 
 
 def test_conservation_at_default_point(run, fine_sig):
-    tbar = transmission_probability(fine_sig, run.medium)
+    tbar = spectral_report(fine_sig, run.medium).transmission
     integral = excited_population(fine_sig, run.medium).integral()
     assert run.medium.gamma * integral + tbar == pytest.approx(1.0, abs=1e-4)
 
@@ -36,7 +34,7 @@ def test_conservation_for_detuned_pulse(run):
     m = replace(run.medium, od=3.0)
     pulse = PulseSpec(sigma_rms=18e-9, center_detuning=m.gamma / 2.0)
     sig = fine_signal(m, pulse)
-    tbar = transmission_probability(sig, m)
+    tbar = spectral_report(sig, m).transmission
     integral = excited_population(sig, m).integral()
     assert m.gamma * integral + tbar == pytest.approx(1.0, abs=1e-4)
 
@@ -45,7 +43,7 @@ def _complex_slab_population(sig, medium):
     """Reference slab model on full-length complex transforms of the
     complex field, as the ``negdelay.excitation`` docstring writes it."""
     n = sig.n
-    delta = grid_frequencies(n, sig.dt)
+    delta = _frequencies(sig)
     kernel = (np.sqrt(medium.gamma) / 2.0) / (medium.gamma / 2.0 - 1j * delta)
     base = np.fft.ifft(sig.samples) * kernel
     w = medium.od / medium.n_slabs
@@ -102,7 +100,20 @@ def test_frozen_default_observables(run, fine_sig):
     assert rep.tau_0 == pytest.approx(1.571573849993308e-08, rel=1e-12)
     assert rep.tau_T == pytest.approx(6.2704946467791876e-09, rel=1e-12)
     assert rep.ratio == pytest.approx(0.3989945904741218, rel=1e-12)
-    assert mean_excitation_time(fine_sig, run.medium) == rep.tau_0
+    assert rep.transmission == pytest.approx(0.3955485192333433, rel=1e-12)
+
+
+def test_spectral_report_transforms_once(run, fine_sig, monkeypatch):
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    spectral_report(fine_sig, run.medium)
+    assert len(calls) == 1
 
 
 def test_zero_depth_report(run):
@@ -128,7 +139,7 @@ def test_transmitted_time_monotone_in_depth(run):
     taus = []
     for od in (1.0, 2.0, 3.0):
         m = replace(run.medium, od=od)
-        taus.append(transmitted_excitation_time(fine_signal(m, pulse), m))
+        taus.append(spectral_report(fine_signal(m, pulse), m).tau_T)
     assert taus[0] > taus[1] > taus[2]
     assert taus[2] < 0.0
 
@@ -147,8 +158,8 @@ def test_ratio_crosses_zero_with_duration(run):
 def test_vanishing_depth_limit_weights_by_input_spectrum(run):
     m = replace(run.medium, od=1e-9)
     sig = fine_signal(m, run.pulse)
-    tau = transmitted_excitation_time(sig, m)
-    delta = grid_frequencies(sig.n, sig.dt)
+    tau = spectral_report(sig, m).tau_T
+    delta = _frequencies(sig)
     w = np.abs(np.fft.ifft(sig.samples)) ** 2
     expected = float(
         np.sum(w * group_delay(delta, m.od, m.gamma)) / np.sum(w)

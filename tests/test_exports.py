@@ -1,6 +1,7 @@
 """Public surface: every ``__all__`` entry resolves and has a caller in
-the CLI pipeline or the acceptance gate, and names and fields that were
-removed from the package stay removed."""
+the CLI pipeline or the acceptance gate, names and fields that were
+removed from the package stay removed, and ``pulse`` imports nothing
+from ``medium``."""
 
 import ast
 import dataclasses
@@ -61,6 +62,10 @@ REMOVED = (
     "CollisionModel",
     "fit_gaussian",
     "GaussianFit",
+    "transmission_probability",
+    "grid_frequencies",
+    "mean_excitation_time",
+    "transmitted_excitation_time",
 )
 
 #: the package root's former re-exports: each lives in its own module
@@ -180,3 +185,20 @@ def test_every_export_has_a_pipeline_caller():
             callers |= {a for m, a in scripts if m == f"negdelay.{name}"}
         orphans += [f"{name}.{n}" for n in _exports(tree) if n not in callers]
     assert not orphans, f"exported with no pipeline or gate caller: {orphans}"
+
+
+def test_pulse_grids_do_not_import_the_medium():
+    # the spectral route (T, tau_0, tau_T) lives in excitation; pulse
+    # only builds grids
+    tree = ast.parse((SRC / "pulse.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = "negdelay" if node.level else None
+            imported.update(
+                ".".join(filter(None, (package, node.module, alias.name)))
+                for alias in node.names
+            )
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [m for m in imported if m.startswith("negdelay.medium")]

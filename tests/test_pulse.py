@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negdelay.errors import ConfigError
-from negdelay.pulse import (
-    PulseSpec,
-    SampledSignal,
-    gaussian_field,
-    grid_frequencies,
-    transmission_probability,
-)
+from negdelay.excitation import spectral_report
+from negdelay.pulse import PulseSpec, SampledSignal, gaussian_field
 
 
 def test_unit_normalization(run):
@@ -32,7 +27,7 @@ def test_intensity_rms_duration(run):
 def test_spectral_rms_matches_convention(run):
     # intensity-rms sigma in time pairs with 1/(2 sigma) in frequency
     sig = gaussian_field(run.pulse, run.medium.gamma)
-    d = grid_frequencies(sig.n, sig.dt)
+    d = 2.0 * np.pi * np.fft.fftfreq(sig.n, d=sig.dt)
     w = np.abs(np.fft.ifft(sig.samples)) ** 2
     mean = np.sum(d * w) / np.sum(w)
     rms = np.sqrt(np.sum((d - mean) ** 2 * w) / np.sum(w))
@@ -88,15 +83,15 @@ def test_pulse_spec_validation():
 def test_narrowband_transmission_is_beer_lambert(run, od, gate):
     m = replace(run.medium, od=od)
     sig = gaussian_field(PulseSpec(sigma_rms=700e-9), m.gamma, n=32768)
-    tbar = transmission_probability(sig, m)
+    tbar = spectral_report(sig, m).transmission
     assert abs(tbar - np.exp(-od)) / np.exp(-od) < gate
 
 
 def test_transmission_grid_doubling_converged(run):
     coarse = gaussian_field(run.pulse, run.medium.gamma, n=4096)
     fine = gaussian_field(run.pulse, run.medium.gamma, n=8192)
-    t_coarse = transmission_probability(coarse, run.medium)
-    t_fine = transmission_probability(fine, run.medium)
+    t_coarse = spectral_report(coarse, run.medium).transmission
+    t_fine = spectral_report(fine, run.medium).transmission
     assert abs(t_fine - t_coarse) < 1e-8
 
 
@@ -105,15 +100,15 @@ def test_time_shift_covariance(run):
     sig = gaussian_field(run.pulse, run.medium.gamma)
     k = 64
     shifted = SampledSignal(dt=sig.dt, t0=sig.t0, samples=np.roll(sig.samples, k))
-    assert transmission_probability(shifted, run.medium) == pytest.approx(
-        transmission_probability(sig, run.medium), rel=1e-12
+    assert spectral_report(shifted, run.medium).transmission == pytest.approx(
+        spectral_report(sig, run.medium).transmission, rel=1e-12
     )
 
 
 def test_zero_depth_propagation_is_identity(run):
     m = replace(run.medium, od=0.0)
     sig = gaussian_field(run.pulse, m.gamma)
-    assert transmission_probability(sig, m) == pytest.approx(1.0, rel=1e-12)
+    assert spectral_report(sig, m).transmission == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,5 +122,5 @@ def test_transmission_stays_in_unit_interval(run, sigma, od, det):
     sig = gaussian_field(
         PulseSpec(sigma_rms=sigma, center_detuning=det), m.gamma
     )
-    tbar = transmission_probability(sig, m)
+    tbar = spectral_report(sig, m).transmission
     assert 0.0 < tbar <= 1.0
