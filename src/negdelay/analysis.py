@@ -39,28 +39,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PostSelectedResult:
-    """Mean traces, their difference and its covariance."""
+    """Mean click-minus-no-click trace, its covariance and the class
+    sizes summed over cycles."""
 
-    phi_C: np.ndarray = field(repr=False)
-    phi_NC: np.ndarray = field(repr=False)
     phi_T: np.ndarray = field(repr=False)
     cov: np.ndarray = field(repr=False)
     n_click: int = 0
     n_noclick: int = 0
-    n_cycles: int = 0
 
     def __post_init__(self):
-        # the class means carry the full per-shot phase scale, so after
-        # many accumulated cycles the identity only holds to rounding at
-        # that scale, not at the (much smaller) difference scale
-        ref = max(
-            float(np.max(np.abs(self.phi_C))),
-            float(np.max(np.abs(self.phi_NC))),
-            float(np.max(np.abs(self.phi_T))),
-        )
-        gap = float(np.max(np.abs(self.phi_T - (self.phi_C - self.phi_NC))))
-        if gap > 1e-9 * ref:
-            raise AnalysisError("phi_T is not the difference of the class means")
         if np.max(np.abs(self.cov - self.cov.T)) != 0.0:
             raise AnalysisError("covariance must be exactly symmetric")
         if np.min(np.diag(self.cov)) < 0.0:
@@ -98,11 +85,10 @@ class Accumulator:
 
     Holds the count, mean and centred sum of outer products (M2) of the
     per-cycle difference traces, updated one cycle at a time (Welford),
-    so no large mean is ever subtracted from a large second moment;
-    plus the sums of the per-cycle class means. Every M2 term is
-    a non-negative multiple of an outer product d d^T, so M2 is exactly
-    symmetric with a non-negative diagonal. Reduction order matters only
-    at float rounding level.
+    so no large mean is ever subtracted from a large second moment.
+    Every M2 term is a non-negative multiple of an outer product d d^T,
+    so M2 is exactly symmetric with a non-negative diagonal. Reduction
+    order matters only at float rounding level.
     """
 
     def __init__(self, n_samples: int, keep_differences: bool = False):
@@ -111,8 +97,6 @@ class Accumulator:
         self.n_noclick = 0
         self.mean_diff = np.zeros(n_samples)
         self.m2 = np.zeros((n_samples, n_samples))
-        self.sum_mean_c = np.zeros(n_samples)
-        self.sum_mean_nc = np.zeros(n_samples)
         self.differences: list[np.ndarray] | None = (
             [] if keep_differences else None
         )
@@ -126,17 +110,13 @@ class Accumulator:
                 f"cycle {self.n_cycles}: "
                 f"{'click' if n_c == 0 else 'no-click'} class is empty"
             )
-        mean_c = sums[0] / n_c
-        mean_nc = sums[1] / n_nc
-        diff = mean_c - mean_nc
+        diff = sums[0] / n_c - sums[1] / n_nc
         self.n_cycles += 1
         self.n_click += n_c
         self.n_noclick += n_nc
         delta = diff - self.mean_diff
         self.mean_diff += delta / self.n_cycles
         self.m2 += ((self.n_cycles - 1) / self.n_cycles) * np.outer(delta, delta)
-        self.sum_mean_c += mean_c
-        self.sum_mean_nc += mean_nc
         if self.differences is not None:
             self.differences.append(diff)
 
@@ -147,14 +127,11 @@ class Accumulator:
                 "need at least two cycles to estimate the covariance"
             )
         return PostSelectedResult(
-            phi_C=self.sum_mean_c / n,
-            phi_NC=self.sum_mean_nc / n,
             phi_T=self.mean_diff.copy(),
             # scatter of the per-cycle differences, scaled to the mean
             cov=self.m2 / (n * (n - 1)),
             n_click=self.n_click,
             n_noclick=self.n_noclick,
-            n_cycles=n,
         )
 
 

@@ -96,9 +96,7 @@ def _npy_member(name: str, dtype, shape) -> tuple[bytes, zipfile.ZipInfo]:
     return header.getvalue(), info
 
 
-def _write_log(
-    path: Path, run: RunConfig, seed, mode, cycles, truth: bool
-) -> None:
+def _write_log(path: Path, run: RunConfig, seed, cycles, truth: bool) -> None:
     """Shot log: a zip of stored .npy members with zeroed timestamps, so
     the same data always produces the same bytes.
 
@@ -116,7 +114,8 @@ def _write_log(
         "version": __version__,
         "config_hash": run.config_hash,
         "seed": seed,
-        "mode": mode,
+        # only simulate writes a log, and it draws normal-mode cycles
+        "mode": "normal",
         "n_cycles": run.n_cycles,
     }
     part = path.with_name(f".{path.name}.part")
@@ -194,7 +193,9 @@ def _read_log(path: Path, run: RunConfig):
                         f"bytes, expected {want} {dtype}"
                     )
                 members.append((fh, dtype, want[1:]))
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        # zipfile raises RuntimeError for an encrypted member and its
+        # subclass NotImplementedError for an unsupported compression
+        except (OSError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
             raise unreadable(exc) from None
 
         def cycles():
@@ -290,7 +291,7 @@ def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
         cal,
         traces=True,
     )
-    _write_log(out / "shots.npz", run, args.seed, "normal", cycles, args.truth)
+    _write_log(out / "shots.npz", run, args.seed, cycles, args.truth)
     return 0
 
 

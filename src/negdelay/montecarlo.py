@@ -46,7 +46,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -140,28 +140,22 @@ class CycleData:
 class PerPhotonShapes:
     """Phase-trace shapes on the detection grid, radians per photon.
 
-    phi_01 = tbar phi_T1 + (1 - tbar) phi_S1 holds pointwise; when the
-    medium is transparent (tbar -> 1) the scattered shape is undefined
-    and is returned as zero with ``all_transmitted`` set.
+    The scattered shape is not an argument: ``phi_S1`` is solved from
+    phi_01 = tbar phi_T1 + (1 - tbar) phi_S1, pointwise. When the medium
+    is transparent (tbar -> 1) it is undefined and set to zero.
     """
 
     phi_T1: np.ndarray = field(repr=False)
-    phi_S1: np.ndarray = field(repr=False)
     phi_01: np.ndarray = field(repr=False)
-    tbar: float = 0.0
-    all_transmitted: bool = False
+    tbar: float
+    phi_S1: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        recon = self.tbar * self.phi_T1 + (1.0 - self.tbar) * self.phi_S1
-        ref = np.max(np.abs(self.phi_01)) + 1e-300
-        if not self.all_transmitted and np.max(np.abs(recon - self.phi_01)) > 1e-9 * ref:
-            raise ConfigError("shape decomposition identity violated")
-
-    def zeroed(self) -> "PerPhotonShapes":
-        z = np.zeros_like(self.phi_01)
-        return replace(
-            self, phi_T1=z, phi_S1=z.copy(), phi_01=z.copy(), all_transmitted=True
-        )
+        if 1.0 - self.tbar < 1e-12:
+            phi_s1 = np.zeros_like(self.phi_01)
+        else:
+            phi_s1 = (self.phi_01 - self.tbar * self.phi_T1) / (1.0 - self.tbar)
+        object.__setattr__(self, "phi_S1", phi_s1)
 
 
 @dataclass(frozen=True)
@@ -228,8 +222,8 @@ def derive_shapes(
     snap_every: int = 64,
 ) -> PerPhotonShapes:
     """Per-photon phase shapes: conditional trace from the collision
-    model, unconditioned trace from the slab model, scattered shape from
-    the decomposition identity.
+    model, unconditioned trace from the slab model; ``PerPhotonShapes``
+    solves the scattered shape from the two.
 
     ``snap_every`` is ignored: the collision model keeps no checkpoints."""
     sig = fine_signal(medium, pulse)
@@ -245,18 +239,7 @@ def derive_shapes(
     )
     phi_t1 = bin_average(phi_t_fine, sig.dt, sig.t0, edges)
     phi_01 = bin_average(phi_0_fine, sig.dt, sig.t0, edges)
-    if 1.0 - tbar < 1e-12:
-        return PerPhotonShapes(
-            phi_T1=phi_t1,
-            phi_S1=np.zeros_like(phi_01),
-            phi_01=phi_01,
-            tbar=tbar,
-            all_transmitted=True,
-        )
-    phi_s1 = (phi_01 - tbar * phi_t1) / (1.0 - tbar)
-    return PerPhotonShapes(
-        phi_T1=phi_t1, phi_S1=phi_s1, phi_01=phi_01, tbar=tbar
-    )
+    return PerPhotonShapes(phi_t1, phi_01, tbar)
 
 
 def calibrate_detection(
@@ -332,16 +315,19 @@ def _effective(mode: str, shapes, cal, config):
     """Map a null-dataset kind onto (mu, tbar, eta, shapes)."""
     if mode == "normal":
         return config.mean_photons, shapes.tbar, cal.eta, shapes
+    # no null kind gives a photon any phase
+    z = np.zeros_like(shapes.phi_01)
+    dark = PerPhotonShapes(z, z, 1.0)
     if mode in ("no_atoms", "bypass_atoms"):
-        # signal light never meets the cloud: full transmission, no phase
-        return config.mean_photons, 1.0, cal.eta, shapes.zeroed()
+        # signal light never meets the cloud: full transmission
+        return config.mean_photons, 1.0, cal.eta, dark
     if mode == "no_signal":
         if cal.p_bg <= 0.0:
             raise ConfigError(
                 "no_signal dataset needs background clicks; set "
                 "background_click_fraction > 0"
             )
-        return 0.0, 1.0, 0.0, shapes.zeroed()
+        return 0.0, 1.0, 0.0, dark
     raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 

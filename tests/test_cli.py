@@ -2,6 +2,7 @@
 
 import io
 import json
+import struct
 import tracemalloc
 import zipfile
 from dataclasses import replace
@@ -299,7 +300,7 @@ def test_log_of_another_cycle_count_exits_2(tmp_path, capsys):
         5, short.n_cycles, shapes, short.shot, cal, traces=True
     )
     log = tmp_path / "short.npz"
-    negdelay.cli._write_log(log, short, 5, "normal", cycles, False)
+    negdelay.cli._write_log(log, short, 5, cycles, False)
     with zipfile.ZipFile(log) as zf:
         assert json.loads(zf.read("meta.json"))["config_hash"] == run.config_hash
     _analyze_fails(tmp_path, capsys, cfg, log)
@@ -413,7 +414,7 @@ def test_log_writer_holds_only_the_per_shot_vectors(tmp_path):
     tracemalloc.start()
     try:
         negdelay.cli._write_log(
-            tmp_path / "shots.npz", run, 0, "normal", _zero_cycles(run, traces), True
+            tmp_path / "shots.npz", run, 0, _zero_cycles(run, traces), True
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -437,9 +438,7 @@ def test_log_reader_memory_does_not_grow_with_cycles(tmp_path):
         )
         log = tmp_path / f"{n_cycles}.npz"
         traces = np.zeros((run.shot.shots_per_cycle, 1))
-        negdelay.cli._write_log(
-            log, run, 0, "normal", _zero_cycles(run, traces), False
-        )
+        negdelay.cli._write_log(log, run, 0, _zero_cycles(run, traces), False)
         tracemalloc.start()
         try:
             with negdelay.cli._read_log(log, run) as (_, cycles):
@@ -751,6 +750,23 @@ def test_missing_and_corrupt_logs_exit_2(tmp_path, capsys):
     rc = main(["analyze", "--log", str(bad), "--out", str(tmp_path / "y")])
     assert rc == 2
     assert "cannot read shot log" in capsys.readouterr().err
+    # a traces.npy member flagged encrypted (flag bit 0), or stored with
+    # a compression method zipfile does not support (99), in its
+    # central-directory entry: zipfile raises RuntimeError and
+    # NotImplementedError for them
+    cfg = _cfg(tmp_path, TINY)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    log = sim / "shots.npz"
+    blob = log.read_bytes()
+    # a central-directory entry holds 46 bytes of fields, then the name
+    entry = blob.rfind(b"traces.npy") - 46
+    assert blob[entry : entry + 4] == b"PK\x01\x02"
+    for offset, value in ((8, 1), (10, 99)):
+        patched = bytearray(blob)
+        struct.pack_into("<H", patched, entry + offset, value)
+        log.write_bytes(patched)
+        _analyze_fails(tmp_path, capsys, cfg, log)
 
 
 def test_log_meta_not_an_object_exits_2(tmp_path, capsys):

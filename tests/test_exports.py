@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 import negdelay
-from negdelay.analysis import Accumulator, IntegralResult
+from negdelay.analysis import Accumulator, IntegralResult, PostSelectedResult
 from negdelay.config import RunConfig
 from negdelay.excitation import ExcitationTrace
 from negdelay.medium import MediumSpec
@@ -85,7 +85,8 @@ REMOVED_FIELDS = {
     MediumSpec: ("omega_probe", "omega_atom"),
     PulseSpec: ("mean_photons",),
     ShotConfig: ("window",),
-    PerPhotonShapes: ("dt",),
+    PerPhotonShapes: ("dt", "all_transmitted", "zeroed"),
+    PostSelectedResult: ("phi_C", "phi_NC", "n_cycles"),
     IntegralResult: ("window", "jacobian"),
     ExcitationTrace: ("axis", "t0"),
     RunConfig: ("seed",),
@@ -114,6 +115,9 @@ def test_all_resolves_and_removed_names_stay_gone():
     # accumulator in index order
     assert "jobs" not in inspect.signature(run_campaign).parameters
     assert not hasattr(Accumulator, "merge")
+    # a record takes no quantity that an identity fixes: the scattered
+    # shape is solved from the other two
+    assert "phi_S1" not in inspect.signature(PerPhotonShapes).parameters
     # config's key table is the one place that knows the default shot
     # and the default emitter count
     assert all(
