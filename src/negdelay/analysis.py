@@ -39,13 +39,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PostSelectedResult:
-    """Mean click-minus-no-click trace, its covariance and the class
-    sizes summed over cycles."""
+    """Mean click-minus-no-click trace, its covariance, the class sizes
+    summed over the kept cycles and the count of cycles skipped for an
+    empty class."""
 
     phi_T: np.ndarray = field(repr=False)
     cov: np.ndarray = field(repr=False)
     n_click: int = 0
     n_noclick: int = 0
+    n_skipped: int = 0
 
     def __post_init__(self):
         if np.max(np.abs(self.cov - self.cov.T)) != 0.0:
@@ -89,10 +91,15 @@ class Accumulator:
     Every M2 term is a non-negative multiple of an outer product d d^T,
     so M2 is exactly symmetric with a non-negative diagonal. Reduction
     order matters only at float rounding level.
+
+    A cycle with no clicked or no silent shot is skipped and counted.
+    That is exact: E[d | K] is the same for every click count 0 < K < N,
+    so the kept cycles stay i.i.d. and keep that mean.
     """
 
     def __init__(self, n_samples: int, keep_differences: bool = False):
         self.n_cycles = 0
+        self.n_skipped = 0
         self.n_click = 0
         self.n_noclick = 0
         self.mean_diff = np.zeros(n_samples)
@@ -106,10 +113,8 @@ class Accumulator:
         and class sizes, as ``class_sums`` returns them."""
         n_c, n_nc = counts
         if n_c == 0 or n_nc == 0:
-            raise AnalysisError(
-                f"cycle {self.n_cycles}: "
-                f"{'click' if n_c == 0 else 'no-click'} class is empty"
-            )
+            self.n_skipped += 1
+            return
         diff = sums[0] / n_c - sums[1] / n_nc
         self.n_cycles += 1
         self.n_click += n_c
@@ -124,7 +129,9 @@ class Accumulator:
         n = self.n_cycles
         if n < 2:
             raise AnalysisError(
-                "need at least two cycles to estimate the covariance"
+                f"need at least two cycles to estimate the covariance: {n} "
+                f"kept, {self.n_skipped} skipped because their click or "
+                "no-click class is empty"
             )
         return PostSelectedResult(
             phi_T=self.mean_diff.copy(),
@@ -132,6 +139,7 @@ class Accumulator:
             cov=self.m2 / (n * (n - 1)),
             n_click=self.n_click,
             n_noclick=self.n_noclick,
+            n_skipped=self.n_skipped,
         )
 
 

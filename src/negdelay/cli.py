@@ -299,6 +299,12 @@ def _analyze_cycles(
     run: RunConfig, shapes, cycles, out: Path, seed, gate: bool
 ) -> int:
     result = accumulate(cycles)
+    if result.n_skipped:
+        print(
+            f"note: skipped {result.n_skipped} of {run.n_cycles} cycles with "
+            "an empty click or no-click class",
+            file=sys.stderr,
+        )
     window = integration_window(shapes.phi_T1, run.window_fraction)
     integral = integral_with_error(
         result.phi_T, result.cov, window, run.shot.dt

@@ -25,7 +25,7 @@ from .pulse import PulseSpec
 
 __all__ = ["RunConfig", "load_config", "default_config"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _TWO_PI = 2.0 * math.pi
 
@@ -58,8 +58,7 @@ _SCHEMA = {
     "medium.probe_detuning_MHz": (_finite, -20.0),
     # sigma0/A making the unconditioned phase peak 15 urad for a 27 ns rms
     # pulse at od 4 (26 ns lifetime, probe at -20 MHz) on the default grid
-    "medium.sigma0_over_area": (_finite, 3.540632886280689e-4),
-    "medium.n_slabs": (int, 128),
+    "medium.sigma0_over_area": (_finite, 3.5405889380523065e-4),
     "pulse.sigma_rms_ns": (_finite, 10.0),
     "pulse.center_detuning_MHz": (_finite, 0.0),
     "shot.n_samples": (int, 36),
@@ -131,7 +130,6 @@ def parse_config(text: str) -> RunConfig:
         gamma=_TWO_PI * vals["medium.gamma_MHz"] * 1e6,
         probe_detuning=_TWO_PI * vals["medium.probe_detuning_MHz"] * 1e6,
         sigma0_over_area=vals["medium.sigma0_over_area"],
-        n_slabs=vals["medium.n_slabs"],
     )
     pulse = PulseSpec(
         sigma_rms=vals["pulse.sigma_rms_ns"] * 1e-9,

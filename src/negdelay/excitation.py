@@ -13,18 +13,22 @@ spectrum by the transfer function t(delta). Every observable here works
 with grid-relative phases, so the absolute grid origin only matters
 when comparing traces between grids.
 
-The cloud is split into thin slabs of equal optical depth. A slab at
-cumulative depth od_k sees the field filtered by the medium in front of
-it, and its excitation amplitude follows the single-atom response, so
+A layer of the cloud at cumulative optical depth z sees the field
+filtered by the medium in front of it, and its excitation amplitude
+follows the single-atom response, so
 
-    c_k(t) = integral ddelta/(2 pi) exp(-i delta t) E~(delta)
-             * exp(-(od_k/2) L(delta)) * (sqrt(gamma)/2) / (gamma/2 - i delta)
+    c(z, t) = integral ddelta/(2 pi) exp(-i delta t) E~(delta)
+              * exp(-(z/2) L(delta)) * (sqrt(gamma)/2) / (gamma/2 - i delta)
 
-and the total excited population per incident photon is the weighted sum
+and the excited population per incident photon is the depth integral
+N_e(t) = integral_0^od |c(z, t)|^2 dz. The integrand is analytic in z,
+so Gauss-Legendre quadrature converges exponentially (Davis &
+Rabinowitz, Methods of Numerical Integration, 1984):
 
-    N_e(t) = sum_k w_k |c_k(t)|^2,   w_k = od / n_slabs
+    N_e(t) = sum_k w_k |c(z_k, t)|^2
 
-with od_k evaluated at slab midpoints. Unconditioned bookkeeping closes:
+with z_k, w_k the 16 nodes and weights of the rule mapped to [0, od],
+which reach rounding up to od 32. Unconditioned bookkeeping closes:
 every scattered photon spends on average one natural lifetime as atomic
 excitation, so gamma * integral(N_e dt) = 1 - T (the scattering
 probability), which is the primary correctness check of the model.
@@ -45,7 +49,7 @@ independent route to the same quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,33 +57,7 @@ from .errors import ConfigError
 from .medium import MediumSpec, conversion_factor, group_delay, transfer_function
 from .pulse import SampledSignal
 
-__all__ = [
-    "excited_population",
-    "spectral_report",
-    "phi0_trace",
-]
-
-
-@dataclass(frozen=True)
-class ExcitationTrace:
-    """Real-valued excitation trace on a uniform time grid.
-
-    values are a population per incident photon, so they must lie in
-    [0, 1] (a small negative floor from float rounding is rejected too).
-    """
-
-    dt: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
-            raise ConfigError("excitation values must lie in [0, 1]")
-        object.__setattr__(self, "values", vals)
-
-    def integral(self) -> float:
-        """Plain Riemann integral of the trace, seconds."""
-        return float(np.sum(self.values) * self.dt)
+__all__ = ["spectral_report", "phi0_trace"]
 
 
 @dataclass(frozen=True)
@@ -92,31 +70,26 @@ class ExcitationReport:
     ratio: float
 
 
-def excited_population(sig: SampledSignal, medium: MediumSpec) -> ExcitationTrace:
-    """Excited population N_e(t) per incident photon on the pulse grid.
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on
+    [-1, 1]: Newton's method on the three-term recurrence of P_n from
+    Tricomi's initial guesses; four of its six steps reach rounding for
+    every n up to 128."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (p0 - x * p1) / (1.0 - x * x)  # P_n'(x)
+        x = x - p1 / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # the rule is symmetric about 0: average each node with its mirror
+    return (x[::-1] - x) / 2.0, (w + w[::-1]) / 2.0
 
-    Converges quadratically in ``medium.n_slabs``; at the default count,
-    doubling it changes integral(N_e dt) by less than 1e-3 relative.
-    """
-    n = sig.n
-    # numpy's forward transform carries exp(-i w t), the model exp(+i delta
-    # t): rfft bin m sits at delta = -w_m
-    delta = -2.0 * np.pi * np.fft.rfftfreq(n, d=sig.dt)
-    kernel = (np.sqrt(medium.gamma) / 2.0) / (medium.gamma / 2.0 - 1j * delta)
-    # every factor is Hermitian in delta, so each part of the field drives
-    # real slab amplitudes of its own: |c_k|^2 sums over the two parts
-    parts = np.stack((sig.samples.real, sig.samples.imag))
-    base = np.fft.rfft(parts[parts.any(axis=1)], axis=-1) * kernel
-    w = medium.od / medium.n_slabs
-    half = transfer_function(delta, w / 2.0, medium.gamma)  # to first midpoint
-    step = transfer_function(delta, w, medium.gamma)
-    values = np.zeros(n)
-    filt = half.copy()
-    for _ in range(medium.n_slabs):
-        ck = np.fft.irfft(base * filt, n)
-        values += w * np.einsum("ij,ij->j", ck, ck)
-        filt *= step
-    return ExcitationTrace(dt=sig.dt, values=values)
+
+#: nodes and weights on [-1, 1] of the depth integral: 16 nodes agree
+#: with 96 to 1e-12 of the N_e peak up to od 32, and to 4e-8 at od 64
+_DEPTH_RULE = _gauss_legendre(16)
 
 
 def spectral_report(sig: SampledSignal, medium: MediumSpec) -> ExcitationReport:
@@ -142,7 +115,24 @@ def phi0_trace(sig: SampledSignal, medium: MediumSpec) -> np.ndarray:
     """Unconditioned probe phase per incident photon, phi_0(t) = C N_e(t).
 
     Radians, on the pulse grid. Sign follows the probe detuning through C.
+    Raises ConfigError when N_e leaves [0, 1]: a field normalized to one
+    photon cannot excite more than one atom.
     """
-    ne = excited_population(sig, medium)
-    return conversion_factor(medium) * ne.values
-
+    # numpy's forward transform carries exp(-i w t), the model exp(+i delta
+    # t): rfft bin m sits at delta = -w_m
+    delta = -2.0 * np.pi * np.fft.rfftfreq(sig.n, d=sig.dt)
+    kernel = (np.sqrt(medium.gamma) / 2.0) / (medium.gamma / 2.0 - 1j * delta)
+    # every factor is Hermitian in delta, so each part of the field drives
+    # real layer amplitudes of its own: |c|^2 sums over the two parts
+    parts = np.stack((sig.samples.real, sig.samples.imag))
+    base = np.fft.rfft(parts[parts.any(axis=1)], axis=-1) * kernel
+    x, w = _DEPTH_RULE
+    half = medium.od / 2.0
+    ne = np.zeros(sig.n)
+    for z, wk in zip(half * (x + 1.0), half * w):
+        ck = np.fft.irfft(base * transfer_function(delta, z, medium.gamma), sig.n)
+        ne += wk * np.einsum("ij,ij->j", ck, ck)
+    # positive weights on squares: only the upper bound can fail
+    if ne.max() > 1.0 + 1e-12:
+        raise ConfigError(f"excited population must lie in [0, 1], not {ne.max():.3g}")
+    return conversion_factor(medium) * ne

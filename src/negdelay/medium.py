@@ -45,14 +45,12 @@ class MediumSpec:
     gamma: natural linewidth, angular rad/s, finite and > 0
     probe_detuning: probe detuning Delta from atomic resonance, rad/s
     sigma0_over_area: resonant cross-section over probe area, in (0, 1]
-    n_slabs: slab count for the excitation model, >= 1
     """
 
     od: float
     gamma: float
     probe_detuning: float
     sigma0_over_area: float
-    n_slabs: int
 
     def __post_init__(self):
         if not self.od >= 0.0:
@@ -66,8 +64,6 @@ class MediumSpec:
                 "sigma0_over_area must lie in (0, 1], got "
                 f"{self.sigma0_over_area}"
             )
-        if int(self.n_slabs) < 1:
-            raise ConfigError(f"n_slabs must be >= 1, got {self.n_slabs}")
 
 
 def lineshape(delta, gamma: float):

@@ -222,7 +222,7 @@ def derive_shapes(
     snap_every: int = 64,
 ) -> PerPhotonShapes:
     """Per-photon phase shapes: conditional trace from the collision
-    model, unconditioned trace from the slab model; ``PerPhotonShapes``
+    model, unconditioned trace from ``phi0_trace``; ``PerPhotonShapes``
     solves the scattered shape from the two.
 
     ``snap_every`` is ignored: the collision model keeps no checkpoints."""

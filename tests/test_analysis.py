@@ -143,11 +143,25 @@ def test_covariance_holds_at_a_large_mean(n_cycles, seed):
 
 
 def test_empty_class_is_rejected():
-    acc = Accumulator(2)
-    with pytest.raises(AnalysisError, match="no-click class is empty"):
-        acc.add_cycle(*class_sums(np.ones((3, 2)), [True] * 3))
-    with pytest.raises(AnalysisError, match="click class is empty"):
-        acc.add_cycle(*class_sums(np.ones((3, 2)), [False] * 3))
+    """A cycle with an empty class enters neither the mean nor the
+    covariance: it is skipped and counted, and the kept cycles give the
+    result they give alone."""
+    rng = np.random.default_rng(5)
+    flags = [True, False, True, False]
+    kept = [_Cycle(rng.standard_normal((4, 3)), flags) for _ in range(3)]
+    empty = [_Cycle(np.ones((3, 3)), [flag] * 3) for flag in (True, False)]
+    acc = Accumulator(3)
+    for cyc in empty:
+        acc.add_cycle(cyc.sums, cyc.counts)
+    assert (acc.n_cycles, acc.n_skipped) == (0, 2)
+    with pytest.raises(AnalysisError, match="0 kept, 2 skipped"):
+        acc.result()
+    res = accumulate([empty[0], *kept[:2], empty[1], kept[2]])
+    ref = accumulate(kept)
+    assert np.array_equal(res.phi_T, ref.phi_T)
+    assert np.array_equal(res.cov, ref.cov)
+    assert (res.n_click, res.n_noclick) == (ref.n_click, ref.n_noclick) == (6, 6)
+    assert (res.n_skipped, ref.n_skipped) == (2, 0)
 
 
 def test_result_needs_two_cycles():

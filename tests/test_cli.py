@@ -42,7 +42,7 @@ def _cfg(tmp_path, text="", name="run.cfg"):
 
 def _check_header(path, hash_=None):
     lines = path.read_text().splitlines()
-    assert lines[0] == f"# negdelay schema=3 version={__version__}"
+    assert lines[0] == f"# negdelay schema=4 version={__version__}"
     assert lines[1].startswith("# config_hash=")
     if hash_ is not None:
         assert f"config_hash={hash_}" in lines[1]
@@ -54,7 +54,7 @@ def test_theory_outputs_and_determinism(tmp_path):
     assert main(["theory", "--out", str(a)]) == 0
     assert main(["theory", "--out", str(b)]) == 0
     for name in ("phi0_theory.csv", "phiT_theory.csv", "summary.csv"):
-        lines = _check_header(a / name, hash_="e1b41cb44c61")
+        lines = _check_header(a / name, hash_="e1d044bf1834")
         assert (a / name).read_bytes() == (b / name).read_bytes()
     header = (a / "summary.csv").read_text().splitlines()[2]
     assert header == "tau0_ns,tauT_ns,ratio,method"
@@ -731,6 +731,34 @@ def test_empty_click_class_exits_4(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 4
     assert "click class is empty" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_cycles_with_an_empty_class_are_skipped(tmp_path, capsys):
+    """A cycle without a click no longer stops a campaign: nullcheck and
+    analyze skip it and say how many on stderr, and a log's analysis
+    skips the cycles its seed's in-memory campaign skips. At seed 11 two
+    of the six no_signal cycles have no click; a run that skips nothing
+    prints nothing."""
+    note = "note: skipped {} of 6 cycles with an empty click or no-click class\n"
+    cfg = _cfg(tmp_path, TINY)
+    argv = ["nullcheck", "--config", cfg, "--seed", "11", "--kind"]
+    assert main(argv + ["no_signal", "--out", str(tmp_path / "dark")]) == 0
+    assert capsys.readouterr().err == note.format(2)
+    assert main(argv + ["bypass_atoms", "--out", str(tmp_path / "lit")]) == 0
+    assert capsys.readouterr().err == ""
+
+    rare = _cfg(tmp_path, TINY + "shot.target_click_prob = 0.02\n", name="rare.cfg")
+    sim, res = tmp_path / "sim", tmp_path / "res"
+    assert main(["simulate", "--config", rare, "--seed", "3", "--out", str(sim)]) == 0
+    log = str(sim / "shots.npz")
+    assert main(["analyze", "--config", rare, "--log", log, "--out", str(res)]) == 0
+    run = load_config(rare)
+    shapes, cal = negdelay.cli._prepare(run)
+    ref = accumulate(run_campaign(3, run.n_cycles, shapes, run.shot, cal))
+    assert ref.n_skipped > 0
+    assert capsys.readouterr().err == note.format(ref.n_skipped)
+    row = (res / "ratio.csv").read_text().splitlines()[3].split(",")
+    assert (int(row[4]), int(row[5])) == (ref.n_click, ref.n_noclick)
 
 
 def test_missing_and_corrupt_logs_exit_2(tmp_path, capsys):

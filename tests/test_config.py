@@ -24,8 +24,7 @@ def test_defaults_mirror_standing_constants():
     assert m.od == 4.0
     assert m.gamma == pytest.approx(1.0 / 26e-9, rel=1e-15)
     assert m.probe_detuning == pytest.approx(-TWO_PI * 20e6, rel=1e-15)
-    assert m.sigma0_over_area == 3.540632886280689e-4
-    assert m.n_slabs == 128
+    assert m.sigma0_over_area == 3.5405889380523065e-4
     assert run.pulse.sigma_rms == pytest.approx(10e-9, rel=1e-15)
     assert run.pulse.center_detuning == 0.0
     s = run.shot
@@ -44,7 +43,7 @@ def test_defaults_mirror_standing_constants():
 
 
 def test_default_hash_is_frozen():
-    assert default_config().config_hash == "e1b41cb44c61"
+    assert default_config().config_hash == "e1d044bf1834"
 
 
 def test_hash_preimage_is_the_parsed_values():
@@ -53,10 +52,9 @@ def test_hash_preimage_is_the_parsed_values():
 analysis.window_fraction = 0.3
 campaign.n_cycles = 100
 medium.gamma_MHz = 6.121343965072898
-medium.n_slabs = 128
 medium.od = 3.0
 medium.probe_detuning_MHz = -20.0
-medium.sigma0_over_area = 0.0003540632886280689
+medium.sigma0_over_area = 0.00035405889380523065
 oracle.checkpoint_interval = 64
 oracle.n_atoms = 64
 pulse.center_detuning_MHz = 0.0
@@ -86,8 +84,7 @@ KEY_VALUES = {
     "medium.od": ("4", "3.5"),
     "medium.gamma_MHz": ("6.121343965072898", "6.07"),  # exactly 1 / 26 ns
     "medium.probe_detuning_MHz": ("-20", "-17.3"),
-    "medium.sigma0_over_area": ("3.540632886280689e-4", "3e-4"),
-    "medium.n_slabs": ("128", "64"),
+    "medium.sigma0_over_area": ("3.5405889380523065e-4", "3e-4"),
     "pulse.sigma_rms_ns": ("10", "27"),
     "pulse.center_detuning_MHz": ("0", "1.5"),
     "shot.n_samples": ("36", "40"),

@@ -1,22 +1,21 @@
-"""Slab-model observables: conservation bookkeeping, parity of the
-real-arithmetic slab amplitudes with a complex-FFT reference, the spectral
-excitation-time estimators and the probe-phase conversion."""
+"""Excited-population observables: conservation bookkeeping, the
+Gauss-Legendre depth rule against numpy's and against a midpoint-slab
+sum, parity of the real-arithmetic layer amplitudes with a complex-FFT
+reference, the spectral excitation-time estimators and the probe-phase
+conversion."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from negdelay import excitation
 from negdelay.errors import ConfigError
-from negdelay.excitation import (
-    ExcitationTrace,
-    excited_population,
-    phi0_trace,
-    spectral_report,
-)
+from negdelay.excitation import _gauss_legendre, phi0_trace, spectral_report
 from negdelay.medium import conversion_factor, group_delay, transfer_function
 from negdelay.montecarlo import fine_signal
-from negdelay.pulse import PulseSpec, gaussian_field
+from negdelay.pulse import PulseSpec, SampledSignal, gaussian_field
 
 
 def _frequencies(sig):
@@ -24,9 +23,14 @@ def _frequencies(sig):
     return 2.0 * np.pi * np.fft.fftfreq(sig.n, d=sig.dt)
 
 
+def _population(sig, medium):
+    """N_e(t) per incident photon, read off phi_0 = C N_e."""
+    return phi0_trace(sig, medium) / conversion_factor(medium)
+
+
 def test_conservation_at_default_point(run, fine_sig):
     tbar = spectral_report(fine_sig, run.medium).transmission
-    integral = excited_population(fine_sig, run.medium).integral()
+    integral = np.sum(_population(fine_sig, run.medium)) * fine_sig.dt
     assert run.medium.gamma * integral + tbar == pytest.approx(1.0, abs=1e-4)
 
 
@@ -35,25 +39,29 @@ def test_conservation_for_detuned_pulse(run):
     pulse = PulseSpec(sigma_rms=18e-9, center_detuning=m.gamma / 2.0)
     sig = fine_signal(m, pulse)
     tbar = spectral_report(sig, m).transmission
-    integral = excited_population(sig, m).integral()
+    integral = np.sum(_population(sig, m)) * sig.dt
     assert m.gamma * integral + tbar == pytest.approx(1.0, abs=1e-4)
 
 
-def _complex_slab_population(sig, medium):
-    """Reference slab model on full-length complex transforms of the
-    complex field, as the ``negdelay.excitation`` docstring writes it."""
-    n = sig.n
+def _complex_population(sig, medium, depths, weights):
+    """Reference depth sum on full-length complex transforms of the
+    complex field, sum_k w_k |c(z_k, t)|^2 as the ``negdelay.excitation``
+    docstring writes it, at the given depths z_k and weights w_k."""
     delta = _frequencies(sig)
     kernel = (np.sqrt(medium.gamma) / 2.0) / (medium.gamma / 2.0 - 1j * delta)
     base = np.fft.ifft(sig.samples) * kernel
-    w = medium.od / medium.n_slabs
-    values = np.zeros(n)
-    for k in range(medium.n_slabs):
-        ck = np.fft.fft(
-            base * transfer_function(delta, w * (k + 0.5), medium.gamma)
-        )
+    values = np.zeros(sig.n)
+    for z, w in zip(depths, weights):
+        ck = np.fft.fft(base * transfer_function(delta, z, medium.gamma))
         values += w * (ck.real**2 + ck.imag**2)
     return values
+
+
+def _midpoint_population(sig, medium, slabs):
+    """The depth integral as a sum over ``slabs`` equal midpoint slabs."""
+    w = medium.od / slabs
+    depths = w * (np.arange(slabs) + 0.5)
+    return _complex_population(sig, medium, depths, np.full(slabs, w))
 
 
 _PARITY_CASES = [
@@ -82,17 +90,19 @@ def test_real_transforms_match_complex_reference(run, sigma_ns, od, detuning, n)
     )
     # the default grid is fine_signal's; an explicit n overrides it
     sig = fine_signal(m, pulse) if n is None else gaussian_field(pulse, m.gamma, n=n)
-    got = excited_population(sig, m).values
-    ref = _complex_slab_population(sig, m)
+    got = _population(sig, m)
+    # numpy's rule, an independent source of the same nodes
+    x, w = leggauss(excitation._DEPTH_RULE[0].size)
+    ref = _complex_population(sig, m, m.od / 2.0 * (x + 1.0), m.od / 2.0 * w)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
 
 
-def test_excitation_trace_bounds():
-    ExcitationTrace(dt=1e-9, values=np.array([0.0, 0.5, 1.0]))
+def test_population_guard(run, fine_sig):
+    """A field of ten times the amplitude carries a hundred photons, more
+    than one excitation: N_e leaves [0, 1]."""
+    loud = SampledSignal(fine_sig.dt, fine_sig.t0, 10.0 * fine_sig.samples)
     with pytest.raises(ConfigError, match="lie in"):
-        ExcitationTrace(dt=1e-9, values=np.array([-1e-3, 0.5]))
-    with pytest.raises(ConfigError, match="lie in"):
-        ExcitationTrace(dt=1e-9, values=np.array([0.5, 1.1]))
+        phi0_trace(loud, run.medium)
 
 
 def test_frozen_default_observables(run, fine_sig):
@@ -167,30 +177,46 @@ def test_vanishing_depth_limit_weights_by_input_spectrum(run):
     assert tau == pytest.approx(expected, rel=1e-6)
 
 
-def _slab_doubling_change(sig, medium):
-    """Relative change of integral(N_e dt) from n_slabs to 2 * n_slabs."""
-    a = excited_population(sig, medium).integral()
-    doubled = replace(medium, n_slabs=2 * medium.n_slabs)
-    b = excited_population(sig, doubled).integral()
-    return abs(b - a) / abs(b)
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_gauss_legendre_matches_numpy(n):
+    x, w = _gauss_legendre(n)
+    ref_x, ref_w = leggauss(n)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14
+    assert np.max(np.abs(w - ref_w)) <= 1e-14
 
 
-def test_slab_convergence_at_default_count(run, fine_sig):
-    assert _slab_doubling_change(fine_sig, run.medium) < 1e-3
+def _node_count_change(run, od, coarse, fine, monkeypatch):
+    """Largest change of N_e from ``coarse`` to ``fine`` depth nodes at
+    the default pulse, relative to the N_e peak."""
+    m = replace(run.medium, od=od)
+    sig = fine_signal(m, run.pulse)
+    monkeypatch.setattr(excitation, "_DEPTH_RULE", _gauss_legendre(coarse))
+    a = _population(sig, m)
+    monkeypatch.setattr(excitation, "_DEPTH_RULE", _gauss_legendre(fine))
+    b = _population(sig, m)
+    return np.max(np.abs(a - b)) / np.max(b)
 
 
-def test_slab_convergence_rejects_coarse_clouds(run, fine_sig):
-    m = replace(run.medium, n_slabs=2)
-    assert _slab_doubling_change(fine_sig, m) > 1e-3
+@pytest.mark.parametrize("od", [4.0, 8.0, 32.0])
+def test_depth_nodes_converge(run, od, monkeypatch):
+    """The shipped rule has converged: eight more nodes move nothing."""
+    nodes = excitation._DEPTH_RULE[0].size
+    assert _node_count_change(run, od, nodes, nodes + 8, monkeypatch) <= 1e-12
+
+
+def test_coarse_depth_rule_is_flagged(run, monkeypatch):
+    assert _node_count_change(run, 8.0, 4, 16, monkeypatch) > 1e-6
 
 
 def test_phi0_is_scaled_population(run, fine_sig):
-    ne = excited_population(fine_sig, run.medium).values
-    np.testing.assert_allclose(
-        phi0_trace(fine_sig, run.medium),
-        conversion_factor(run.medium) * ne,
-        rtol=1e-14,
-    )
+    """phi_0 / C against an independent depth sum: midpoint slabs, whose
+    error is even in the slab width, Richardson-extrapolated from 256 and
+    512 slabs."""
+    coarse = _midpoint_population(fine_sig, run.medium, 256)
+    fine = _midpoint_population(fine_sig, run.medium, 512)
+    ref = (4.0 * fine - coarse) / 3.0
+    got = _population(fine_sig, run.medium)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(ref)
 
 
 def test_default_scale_anchors_27ns_peak(run):

@@ -14,7 +14,6 @@ from pathlib import Path
 import negdelay
 from negdelay.analysis import Accumulator, IntegralResult, PostSelectedResult
 from negdelay.config import RunConfig
-from negdelay.excitation import ExcitationTrace
 from negdelay.medium import MediumSpec
 from negdelay.montecarlo import (
     DetectionCalibration,
@@ -66,6 +65,8 @@ REMOVED = (
     "grid_frequencies",
     "mean_excitation_time",
     "transmitted_excitation_time",
+    "excited_population",
+    "ExcitationTrace",
 )
 
 #: the package root's former re-exports: each lives in its own module
@@ -82,13 +83,12 @@ ROOT_REEXPORTS = (
 #: deleted fields and methods: stored or computed, but read by nothing
 REMOVED_FIELDS = {
     DetectionCalibration: ("kappa", "target_click_prob"),
-    MediumSpec: ("omega_probe", "omega_atom"),
+    MediumSpec: ("omega_probe", "omega_atom", "n_slabs"),
     PulseSpec: ("mean_photons",),
     ShotConfig: ("window",),
     PerPhotonShapes: ("dt", "all_transmitted", "zeroed"),
     PostSelectedResult: ("phi_C", "phi_NC", "n_cycles"),
     IntegralResult: ("window", "jacobian"),
-    ExcitationTrace: ("axis", "t0"),
     RunConfig: ("seed",),
 }
 

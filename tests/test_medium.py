@@ -26,7 +26,6 @@ def medium(**kw):
         gamma=GAMMA,
         probe_detuning=DETUNING,
         sigma0_over_area=SIGMA0,
-        n_slabs=128,
     )
     base.update(kw)
     return MediumSpec(**base)
@@ -133,7 +132,7 @@ def test_kramers_kronig_consistency():
         (dict(sigma0_over_area=1.5), "sigma0_over_area"),
         (dict(od=float("nan")), "optical depth"),
         (dict(gamma=float("nan")), "linewidth"),
-        (dict(n_slabs=0), "n_slabs"),
+        (dict(sigma0_over_area=float("nan")), "sigma0_over_area"),
         (dict(gamma=float("inf")), "linewidth must be finite"),
     ],
 )
