@@ -223,7 +223,7 @@ def ratio_estimate(
     For a campaign's click-minus-no-click phi_T this estimates
     kappa * integral_window(phi_T1) / integral(phi_01), not tau_T/tau_0:
     kappa scales the measured trace and the window cuts its tails. At
-    the default point it expects +0.3738 where the spectral tau_T/tau_0
+    the default point it expects +0.3748 where the spectral tau_T/tau_0
     is +0.3990.
 
     phi_0 enters as an exact calibration: its statistical error is not

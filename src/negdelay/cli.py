@@ -65,21 +65,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+#: rows of a float matrix that ``_write_csv`` formats at a time
+_CSV_BLOCK = 1024
+
+
 def _write_csv(path: Path, run: RunConfig, seed, columns, rows) -> None:
+    """Header lines, then the rows as they are formatted: a float matrix
+    a block of rows at a time, other rows one by one."""
     lines = [
         f"# negdelay schema={SCHEMA_VERSION} version={__version__}",
         f"# config_hash={run.config_hash}"
         + (f" seed={seed}" if seed is not None else ""),
         ",".join(columns),
     ]
-    if isinstance(rows, np.ndarray):
-        # a float matrix, cell by cell as _fmt writes a float: reprs in
-        # row order, grouped into rows of rows.shape[1]
-        cells = map(float.__repr__, rows.ravel().tolist())
-        lines += map(",".join, zip(*[cells] * rows.shape[1]))
-    else:
-        lines += (",".join(map(_fmt, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write("\n".join(lines) + "\n")
+        if not isinstance(rows, np.ndarray):
+            f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+            return
+        for start in range(0, len(rows), _CSV_BLOCK):
+            # a float matrix, cell by cell as _fmt writes a float: reprs
+            # in row order, grouped into rows of rows.shape[1]
+            block = rows[start : start + _CSV_BLOCK]
+            cells = map(float.__repr__, block.ravel().tolist())
+            lines = map(",".join, zip(*[cells] * rows.shape[1]))
+            f.write("\n".join(lines) + "\n")
 
 
 def _npy_member(name: str, dtype, shape) -> tuple[bytes, zipfile.ZipInfo]:

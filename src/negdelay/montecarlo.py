@@ -3,9 +3,12 @@
 A shot is one acquisition window holding one coherent signal pulse. The
 pulse carries N ~ Poisson(mu) photons; each is independently transmitted
 (probability T) or scattered, and each transmitted photon fires the
-detector with probability eta. A background click happens with
-probability p_bg per shot regardless of the light. The probe phase trace
-is linear in the photon fates,
+detector with probability eta. By Poisson thinning (Kingman, *Poisson
+Processes*, 1993) the transmitted and scattered counts are independent,
+n_T ~ Poisson(mu T) and n_S ~ Poisson(mu (1 - T)), with N = n_T + n_S,
+so the sampler draws those two counts and no binomial split of N. A
+background click happens with probability p_bg per shot regardless of
+the light. The probe phase trace is linear in the photon fates,
 
     phase(t) = n_T phi_T1(t) + n_S phi_S1(t) + noise,
 
@@ -237,7 +240,7 @@ def derive_shapes(
     edges = (
         np.arange(config.n_samples + 1) * config.dt - config.pulse_center
     )
-    phi_t1 = bin_average(phi_t_fine, sig.dt, sig.t0, edges)
+    phi_t1 = bin_average(phi_t_fine, weak.dt, weak.t0, edges)
     phi_01 = bin_average(phi_0_fine, sig.dt, sig.t0, edges)
     return PerPhotonShapes(phi_t1, phi_01, tbar)
 
@@ -342,15 +345,15 @@ def _lowpass(traces: np.ndarray, dt: float, cutoff: float) -> None:
         traces[:, j] = acc
 
 
-def _photon_terms(n_t, n_s, n_ph, eff, config):
+def _photon_terms(n_t, n_s, eff, config):
     """The trace's photon terms as per-shot coefficients (shots, k) and
     their shapes (k, n_samples): n_t phi_T1 + n_s phi_S1, plus the
-    ripple n_ph / mu when the wobble is on."""
+    ripple n_ph / mu, with n_ph = n_t + n_s, when the wobble is on."""
     cols, shapes = [n_t, n_s], [eff.phi_T1, eff.phi_S1]
     if config.wobble_amplitude != 0.0:
         if config.mean_photons <= 0.0:
             raise ConfigError("wobble injection needs mean_photons > 0")
-        cols.append(n_ph / config.mean_photons)
+        cols.append((n_t + n_s) / config.mean_photons)
         shapes.append(
             config.wobble_amplitude
             * np.sin(
@@ -384,12 +387,16 @@ def simulate_cycle(
 ) -> CycleData:
     """All shots of one atom cycle, vectorized.
 
-    The draw order (photon numbers, transmitted split, detections,
-    background uniforms, class-sum noise, then only with ``traces`` the
-    per-shot noise matrix) is part of the reproducibility contract and
-    must not change. The per-shot traces (``traces=True``) and the class
-    sums (the default) share every draw they both make, so their photon
-    fates, click flags and class sums agree.
+    The draw order is part of the reproducibility contract and must not
+    change: transmitted counts n_T ~ Poisson(mu T), scattered counts
+    n_S ~ Poisson(mu (1 - T)), the two independent by thinning, then
+    detections, background uniforms, class-sum noise, and only with
+    ``traces`` the per-shot noise matrix. The photon number is
+    n_T + n_S. The counts come before every draw that reads eta, so two
+    campaigns of one seed that differ only in their calibration share
+    their photon counts. The per-shot traces (``traces=True``) and the
+    class sums (the default) share every draw they both make, so their
+    photon fates, click flags and class sums agree.
 
     The noise of a class is drawn as its sum: for n_c i.i.d. unit
     normals that sum is sqrt(n_c) N(0, 1), one row of 2 x n_samples
@@ -403,16 +410,15 @@ def simulate_cycle(
     """
     mu, tbar, eta, eff = _effective(mode, shapes, cal, config)
     shots = config.shots_per_cycle
-    n_ph = rng.poisson(mu, shots)
-    n_t = rng.binomial(n_ph, tbar)
+    n_t = rng.poisson(mu * tbar, shots)
+    n_s = rng.poisson(mu * (1.0 - tbar), shots)
     n_det = rng.binomial(n_t, eta)
     u_bg = rng.random(shots)
 
-    n_s = n_ph - n_t
     bg = u_bg < cal.p_bg
     clicked = (n_det > 0) | bg
     fates = dict(n_transmitted=n_t, n_scattered=n_s, background_clicked=bg)
-    coef, terms = _photon_terms(n_t, n_s, n_ph, eff, config)
+    coef, terms = _photon_terms(n_t, n_s, eff, config)
     summed, counts = class_sums(coef, clicked)
     n_class = np.array(counts, dtype=np.float64)[:, None]
     sums = rng.standard_normal((2, config.n_samples))

@@ -110,7 +110,10 @@ class WeakTrace:
 
     ``weak`` is the conditional excitation trace W(t); ``population`` is
     the unconditioned one. Both have n_steps + 1 points: sample i is the
-    state between steps i-1 and i.
+    state between steps i-1 and i. Step j takes the bin around pulse
+    sample j, at t_j = sig.t0 + j dt, so it ends half a step after t_j:
+    sample i sits at sig.t0 + (i - 1/2) dt, and ``t0`` is that time for
+    sample 0, half a step before the pulse grid.
     """
 
     dt: float
@@ -267,7 +270,7 @@ def weak_excitation_trace(
     norm_in = sig.dt * float(np.vdot(sig.samples, sig.samples).real)
     return WeakTrace(
         dt=sig.dt,
-        t0=sig.t0,
+        t0=sig.t0 - 0.5 * sig.dt,
         weak=weak,
         population=ne,
         transmission=dnorm / norm_in,

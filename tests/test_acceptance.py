@@ -13,11 +13,13 @@ computed from population values, at most ``FALSE_ALARM``. No gate rests
 on its seeds: criteria 7 and 10 gate the mean and sd of the pulls of
 many short campaigns, each pull t-distributed with one degree of freedom
 fewer than its campaign has cycles, and every rate is printed with the
-criterion's line. ``SEED_BLOCK`` picks the block; blocks never share a
-campaign, and any block must pass.
+criterion's line. ``SEED_BLOCK`` picks the block, set by the
+environment variable ``NEGDELAY_SEED_BLOCK`` (default 0); blocks never
+share a campaign, and any block must pass.
 """
 
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -45,12 +47,13 @@ from negdelay.oracle import weak_excitation_trace
 
 REDUCED_NOISE = 0.012  # rad; default 0.120 scaled down tenfold
 
-#: seed block of the statistical criteria. Criterion c of block b draws
-#: its campaign seeds from [b * 10**6 + c * 10**5, + 10**5), series s of
-#: a criterion from its own 10**4 of those, so neither two criteria nor
-#: two blocks share a campaign. Blocks 0, 1 and 2 were fixed before any
-#: of them was run.
-SEED_BLOCK = 0
+#: seed block of the statistical criteria, from the environment variable
+#: NEGDELAY_SEED_BLOCK (default 0). Criterion c of block b draws its
+#: campaign seeds from [b * 10**6 + c * 10**5, + 10**5), series s of a
+#: criterion from its own 10**4 of those, so neither two criteria nor two
+#: blocks share a campaign. Blocks 0, 1 and 2 were fixed before any of
+#: them was run.
+SEED_BLOCK = int(os.environ.get("NEGDELAY_SEED_BLOCK", "0"))
 
 #: most a statistical criterion may fail a correct pipeline
 FALSE_ALARM = 1e-3

@@ -63,21 +63,26 @@ def test_theory_outputs_and_determinism(tmp_path):
 
 
 def test_float_matrix_rows_write_the_bytes_of_tuple_rows(tmp_path):
-    cols = np.array(
+    """A float matrix, streamed a block of rows at a time, writes the
+    bytes of the same rows as tuples, one by one: shorter than a block,
+    and 2 blocks plus 3 rows, so that the last block is partial."""
+    special = np.array(
         [
             [0.0, -0.0, 1e-300, -2.5e300, np.inf, -np.inf, np.nan, 1 / 3],
             [7.0, 1e16, 123456789.125, -1e-5, 0.1, 5e-324, 2.0**60, -1.5],
             [*np.random.default_rng(3).normal(size=8)],
         ]
     ).T
+    long = np.random.default_rng(4).normal(size=(2 * negdelay.cli._CSV_BLOCK + 3, 3))
     run = default_config()
-    paths = tmp_path / "matrix.csv", tmp_path / "tuples.csv"
-    negdelay.cli._write_csv(paths[0], run, 7, ("a", "b", "c"), cols)
-    negdelay.cli._write_csv(
-        paths[1], run, 7, ("a", "b", "c"), zip(*(c.tolist() for c in cols.T))
-    )
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert len(paths[0].read_text().splitlines()) == 3 + len(cols)
+    for cols in (special, long):
+        paths = tmp_path / "matrix.csv", tmp_path / "tuples.csv"
+        negdelay.cli._write_csv(paths[0], run, 7, ("a", "b", "c"), cols)
+        negdelay.cli._write_csv(
+            paths[1], run, 7, ("a", "b", "c"), zip(*(c.tolist() for c in cols.T))
+        )
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(paths[0].read_text().splitlines()) == 3 + len(cols)
 
 
 def test_theory_transparent_medium_reports_na(tmp_path):

@@ -219,15 +219,15 @@ def test_draw_order_contract(run, shapes, cal):
             cyc.background_clicked,
         ):
             h.update(np.ascontiguousarray(arr).tobytes())
-        assert h.hexdigest()[:16] == "d738e8a58bf3d563", traces
+        assert h.hexdigest()[:16] == "4f35d5cc6372f3fb", traces
         if not traces:
             np.testing.assert_allclose(
-                cyc.sums[:, 0], [-0.5442488430608193, -0.9518870335350149],
+                cyc.sums[:, 0], [-0.4687328027876195, -0.05024715009127998],
                 rtol=1e-10,
             )
     np.testing.assert_allclose(
         cyc.traces[0, :3],
-        [-0.01795666016385531, -0.13076279992308695, 0.0390095535995129],
+        [-0.10126397636374257, 0.009421802673478377, -0.20324102891811824],
         rtol=1e-10,
     )
 
@@ -337,11 +337,12 @@ def _term_by_term_traces(rng, shapes, config, cal):
     """The cycle's traces drawn in the sampler's order and formed term by
     term (conditioned noise, transmitted, scattered, ripple) from
     separate temporaries, with a separate low-pass output."""
-    n_ph = rng.poisson(config.mean_photons, config.shots_per_cycle)
-    n_t = rng.binomial(n_ph, shapes.tbar)
+    mu, shots = config.mean_photons, config.shots_per_cycle
+    n_t = rng.poisson(mu * shapes.tbar, shots)
+    n_s = rng.poisson(mu * (1.0 - shapes.tbar), shots)
     n_det = rng.binomial(n_t, cal.eta)
-    clicked = (n_det > 0) | (rng.random(config.shots_per_cycle) < cal.p_bg)
-    n_s = n_ph - n_t
+    clicked = (n_det > 0) | (rng.random(shots) < cal.p_bg)
+    n_ph = n_t + n_s
     sums = rng.standard_normal((2, config.n_samples))
     noise = rng.standard_normal((config.shots_per_cycle, config.n_samples))
     for row, members in enumerate((clicked, ~clicked)):
@@ -513,6 +514,46 @@ def test_conditioned_shot_rows_are_iid_unit_normals(run, shapes, cal):
         "within-class covariance": within.mean() * math.sqrt(within.size),
         "cross-class covariance": across.mean() * math.sqrt(across.size),
     }
+    for name, stat in stats.items():
+        assert abs(stat) < _Z_BOUND, (name, stat)
+
+
+def test_photon_fates_follow_the_thinned_law(run, shapes, cal):
+    """Per shot, n_T ~ Poisson(mu T) and n_S ~ Poisson(mu (1 - T)) are
+    independent (Poisson thinning), a shot clicks with the calibrated
+    target probability, and clicking raises the mean n_T by kappa. Over
+    400 default cycles on seeds no other test uses, seven statistics,
+    each standard normal for a correct sampler, stay within _Z_BOUND
+    (false-alarm rate 4.8e-5 for the seven): the mean and the variance
+    of n_T and of n_S (a Poisson(m) sample variance of N shots has
+    variance (m + 2 m^2) / N), their covariance (variance m_T m_S / N),
+    the click rate, and E[n_T | click] - E[n_T | silent] against
+    ``kappa_enumeration``, with the class variances it is drawn with."""
+    cycles = [
+        simulate_cycle(np.random.default_rng([2029, c]), shapes, run.shot, cal)
+        for c in range(400)
+    ]
+    n_t = np.concatenate([cyc.n_transmitted for cyc in cycles]).astype(float)
+    n_s = np.concatenate([cyc.n_scattered for cyc in cycles]).astype(float)
+    clicked = np.concatenate([cyc.clicked for cyc in cycles])
+    size = n_t.size
+    mu, tbar = run.shot.mean_photons, shapes.tbar
+    stats = {}
+    for name, n, m in (("n_T", n_t, mu * tbar), ("n_S", n_s, mu * (1.0 - tbar))):
+        stats[f"mean {name}"] = (n.mean() - m) / math.sqrt(m / size)
+        stats[f"variance {name}"] = (n.var(ddof=1) - m) / math.sqrt(
+            (m + 2.0 * m * m) / size
+        )
+    stats["covariance"] = np.cov(n_t, n_s)[0, 1] / math.sqrt(
+        mu * tbar * mu * (1.0 - tbar) / size
+    )
+    p = run.shot.target_click_prob
+    stats["click rate"] = (clicked.mean() - p) / math.sqrt(p * (1.0 - p) / size)
+    hit, miss = n_t[clicked], n_t[~clicked]
+    kappa = kappa_enumeration(cal.eta, cal.lam, cal.p_bg)
+    stats["kappa"] = (hit.mean() - miss.mean() - kappa) / math.sqrt(
+        hit.var(ddof=1) / hit.size + miss.var(ddof=1) / miss.size
+    )
     for name, stat in stats.items():
         assert abs(stat) < _Z_BOUND, (name, stat)
 
