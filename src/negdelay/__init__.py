@@ -6,6 +6,6 @@ click/no-click cross-phase experiment shot by shot, and runs the full
 statistical pipeline from raw shots to excitation-time ratios.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = ["__version__"]

@@ -219,7 +219,7 @@ def _read_log(path: Path, run: RunConfig):
                         raise unreadable(
                             f"cycle {i} of traces.npy holds a non-finite value"
                         )
-                    yield CycleData(i, clicked, *class_sums(traces, clicked))
+                    yield CycleData(clicked, *class_sums(traces, clicked))
             except zipfile.BadZipFile as exc:
                 # a damaged member fails its CRC only once fully read
                 raise unreadable(exc) from None
@@ -252,7 +252,7 @@ def _evaluate(medium, pulse, n_atoms: int):
     weak = weak_excitation_trace(sig, medium, n_atoms=n_atoms)
     tau_t_oracle = weak.tau_transmitted()
     if rep.tau_0 != 0.0:
-        ratios = (rep.ratio, tau_t_oracle / rep.tau_0)
+        ratios = (rep.tau_T / rep.tau_0, tau_t_oracle / rep.tau_0)
     else:
         ratios = ("NA", "NA")
     summary = (rep.tau_0 * 1e9, rep.tau_T * 1e9, tau_t_oracle * 1e9, *ratios)
@@ -355,7 +355,7 @@ def _analyze_cycles(
 
 def _cmd_analyze(run: RunConfig, out: Path, args) -> int:
     with _read_log(Path(args.log), run) as (meta, cycles):
-        shapes, _ = _prepare(run)
+        shapes = derive_shapes(run.medium, run.pulse, run.shot, run.n_atoms)
         return _analyze_cycles(
             run, shapes, cycles, out, meta["seed"], gate=False
         )

@@ -25,7 +25,7 @@ from .pulse import PulseSpec
 
 __all__ = ["RunConfig", "load_config", "default_config"]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _TWO_PI = 2.0 * math.pi
 
@@ -76,8 +76,6 @@ _SCHEMA = {
     "shot.wobble_phase_rad": (_finite, 0.0),
     "campaign.n_cycles": (int, 100),
     "oracle.n_atoms": (int, 64),
-    # inert since the oracle keeps no checkpoints; the benchmark still reads it
-    "oracle.checkpoint_interval": (int, 64),
     "analysis.window_fraction": (_finite, 0.3),
     "sweep.sigma_rms_ns": (_float_list, (10.0, 18.0, 27.0, 36.0)),
     "sweep.od": (_float_list, (2.0, 4.0)),
@@ -91,11 +89,12 @@ class RunConfig:
     shot: ShotConfig
     n_cycles: int
     n_atoms: int
-    checkpoint_interval: int
     window_fraction: float
     sweep_sigmas: tuple[float, ...]
     sweep_ods: tuple[float, ...]
     config_hash: str
+    # inert and set by no key: perfbench passes it as derive_shapes(snap_every=)
+    checkpoint_interval = 64
 
 
 def _parse_lines(text: str) -> dict:
@@ -155,8 +154,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("campaign.n_cycles must be at least 2")
     if vals["oracle.n_atoms"] < 1:
         raise ConfigError("oracle.n_atoms must be at least 1")
-    if vals["oracle.checkpoint_interval"] < 1:
-        raise ConfigError("oracle.checkpoint_interval must be at least 1")
     if not 0.0 <= vals["analysis.window_fraction"] < 1.0:
         raise ConfigError("analysis.window_fraction must lie in [0, 1)")
     return RunConfig(
@@ -165,7 +162,6 @@ def parse_config(text: str) -> RunConfig:
         shot=shot,
         n_cycles=vals["campaign.n_cycles"],
         n_atoms=vals["oracle.n_atoms"],
-        checkpoint_interval=vals["oracle.checkpoint_interval"],
         window_fraction=vals["analysis.window_fraction"],
         sweep_sigmas=vals["sweep.sigma_rms_ns"],
         sweep_ods=vals["sweep.od"],

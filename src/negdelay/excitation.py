@@ -67,7 +67,6 @@ class ExcitationReport:
     transmission: float
     tau_0: float
     tau_T: float
-    ratio: float
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,8 +106,7 @@ def spectral_report(sig: SampledSignal, medium: MediumSpec) -> ExcitationReport:
     w_out = np.abs(spectrum * t) ** 2
     tg = group_delay(delta, medium.od, medium.gamma)
     tauT = float(np.sum(w_out * tg) / np.sum(w_out))
-    ratio = tauT / tau0 if tau0 != 0.0 else float("nan")
-    return ExcitationReport(transmission=tbar, tau_0=tau0, tau_T=tauT, ratio=ratio)
+    return ExcitationReport(transmission=tbar, tau_0=tau0, tau_T=tauT)
 
 
 def phi0_trace(sig: SampledSignal, medium: MediumSpec) -> np.ndarray:

@@ -129,7 +129,6 @@ class CycleData:
     shot log carries its sums and click flags, with None for the fates.
     """
 
-    cycle: int
     clicked: np.ndarray  # (shots,) bool
     sums: np.ndarray | None = None  # (2, n_samples)
     counts: tuple[int, int] | None = None
@@ -382,7 +381,6 @@ def simulate_cycle(
     config: ShotConfig,
     cal: DetectionCalibration,
     mode: str = "normal",
-    cycle: int = 0,
     traces: bool = False,
 ) -> CycleData:
     """All shots of one atom cycle, vectorized.
@@ -425,9 +423,7 @@ def simulate_cycle(
     sums *= np.sqrt(n_class)
     if not traces:
         _phase_rows(sums, summed, terms, config)
-        return CycleData(
-            cycle=cycle, clicked=clicked, sums=sums, counts=counts, **fates
-        )
+        return CycleData(clicked=clicked, sums=sums, counts=counts, **fates)
     rows = rng.standard_normal((shots, config.n_samples))
     # the conditioning shift of each class, one more linear term: the
     # class flags select it, scaled by sigma like the noise it moves; an
@@ -439,7 +435,7 @@ def simulate_cycle(
         np.concatenate((terms, config.phase_noise_rms * shift)),
         config,
     )
-    return CycleData(cycle=cycle, clicked=clicked, traces=rows, **fates)
+    return CycleData(clicked=clicked, traces=rows, **fates)
 
 
 def _usable_cpus() -> int:
@@ -478,9 +474,7 @@ def run_campaign(
 
     def one(cycle: int) -> CycleData:
         rng = np.random.default_rng([seed, cycle])
-        return simulate_cycle(
-            rng, shapes, config, cal, mode=mode, cycle=cycle, traces=traces
-        )
+        return simulate_cycle(rng, shapes, config, cal, mode=mode, traces=traces)
 
     threads = _usable_cpus() if traces else 1
     if threads <= 1:

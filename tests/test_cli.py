@@ -42,7 +42,7 @@ def _cfg(tmp_path, text="", name="run.cfg"):
 
 def _check_header(path, hash_=None):
     lines = path.read_text().splitlines()
-    assert lines[0] == f"# negdelay schema=4 version={__version__}"
+    assert lines[0] == f"# negdelay schema=5 version={__version__}"
     assert lines[1].startswith("# config_hash=")
     if hash_ is not None:
         assert f"config_hash={hash_}" in lines[1]
@@ -54,7 +54,7 @@ def test_theory_outputs_and_determinism(tmp_path):
     assert main(["theory", "--out", str(a)]) == 0
     assert main(["theory", "--out", str(b)]) == 0
     for name in ("phi0_theory.csv", "phiT_theory.csv", "summary.csv"):
-        lines = _check_header(a / name, hash_="e1d044bf1834")
+        lines = _check_header(a / name, hash_="378894db1ce8")
         assert (a / name).read_bytes() == (b / name).read_bytes()
     header = (a / "summary.csv").read_text().splitlines()[2]
     assert header == "tau0_ns,tauT_ns,ratio,method"
@@ -398,9 +398,8 @@ def _zero_cycles(run, traces):
     """``run.n_cycles`` zero-valued cycles sharing one traces array, each
     with fresh per-shot vectors, as the sampler draws them."""
     shots = run.shot.shots_per_cycle
-    for i in range(run.n_cycles):
+    for _ in range(run.n_cycles):
         yield CycleData(
-            i,
             np.zeros(shots, bool),
             traces=traces,
             n_transmitted=np.zeros(shots, np.int64),

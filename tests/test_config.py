@@ -36,14 +36,14 @@ def test_defaults_mirror_standing_constants():
     assert s.shots_per_cycle == 1500
     assert s.pulse_center == pytest.approx(260e-9, rel=1e-15)
     assert run.n_cycles == 100
-    assert run.n_atoms == 64 and run.checkpoint_interval == 64
+    assert run.n_atoms == 64
     assert run.window_fraction == 0.3
     assert run.sweep_sigmas == (10.0, 18.0, 27.0, 36.0)
     assert run.sweep_ods == (2.0, 4.0)
 
 
 def test_default_hash_is_frozen():
-    assert default_config().config_hash == "e1d044bf1834"
+    assert default_config().config_hash == "378894db1ce8"
 
 
 def test_hash_preimage_is_the_parsed_values():
@@ -55,7 +55,6 @@ medium.gamma_MHz = 6.121343965072898
 medium.od = 3.0
 medium.probe_detuning_MHz = -20.0
 medium.sigma0_over_area = 0.00035405889380523065
-oracle.checkpoint_interval = 64
 oracle.n_atoms = 64
 pulse.center_detuning_MHz = 0.0
 pulse.sigma_rms_ns = 10.0
@@ -102,7 +101,6 @@ KEY_VALUES = {
     "shot.wobble_phase_rad": ("0", "1"),
     "campaign.n_cycles": ("100", "6"),
     "oracle.n_atoms": ("64", "128"),
-    "oracle.checkpoint_interval": ("64", "32"),
     "analysis.window_fraction": ("0.3", "0.5"),
     "sweep.sigma_rms_ns": ("10, 18, 27, 36", "10, 36"),
     "sweep.od": ("2, 4", "0, 3"),
@@ -160,6 +158,8 @@ def test_comments_and_blank_lines():
         # the linewidth is medium.gamma_MHz, the seed the --seed flag
         ("medium.tau_sp_ns = 26", "line 1: unknown key"),
         ("campaign.seed = 3", "line 1: unknown key"),
+        # the oracle keeps no checkpoints: the key changed only the hash
+        ("oracle.checkpoint_interval = 64", "line 1: unknown key"),
     ],
 )
 def test_parse_diagnostics(text, msg):
@@ -174,7 +174,6 @@ def test_parse_diagnostics(text, msg):
         ("campaign.n_cycles = 0", "at least 2"),
         ("campaign.n_cycles = 1", "at least 2"),
         ("oracle.n_atoms = 0", "at least 1"),
-        ("oracle.checkpoint_interval = 0", "at least 1"),
         ("analysis.window_fraction = 1.0", "lie in"),
         ("medium.gamma_MHz = 0", "linewidth must be > 0"),
     ],

@@ -14,8 +14,10 @@ from pathlib import Path
 import negdelay
 from negdelay.analysis import Accumulator, IntegralResult, PostSelectedResult
 from negdelay.config import RunConfig
+from negdelay.excitation import ExcitationReport
 from negdelay.medium import MediumSpec
 from negdelay.montecarlo import (
+    CycleData,
     DetectionCalibration,
     PerPhotonShapes,
     ShotConfig,
@@ -90,6 +92,8 @@ REMOVED_FIELDS = {
     PostSelectedResult: ("phi_C", "phi_NC", "n_cycles"),
     IntegralResult: ("window", "jacobian"),
     RunConfig: ("seed",),
+    ExcitationReport: ("ratio",),
+    CycleData: ("cycle",),
 }
 
 
@@ -111,6 +115,13 @@ def test_all_resolves_and_removed_names_stay_gone():
     # the sampler always returns photon fates; the log writer picks
     for fn in (simulate_cycle, run_campaign):
         assert "truth" not in inspect.signature(fn).parameters, fn
+    # a campaign yields its cycles in index order: they carry no label
+    assert "cycle" not in inspect.signature(simulate_cycle).parameters
+    # the benchmark's tracer reads these arguments by name
+    assert "config" in inspect.signature(simulate_cycle).parameters
+    assert {"sig", "n_atoms"} <= set(
+        inspect.signature(weak_excitation_trace).parameters
+    )
     # a campaign picks its own fan-out, and its cycles reach one
     # accumulator in index order
     assert "jobs" not in inspect.signature(run_campaign).parameters
