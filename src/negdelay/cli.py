@@ -41,11 +41,11 @@ from .montecarlo import (
     CycleData,
     calibrate_detection,
     derive_shapes,
-    fine_signal,
     run_campaign,
 )
 from .config import SCHEMA_VERSION, RunConfig, default_config, load_config
 from .oracle import weak_excitation_trace
+from .pulse import gaussian_field
 
 __all__ = ["main"]
 
@@ -247,7 +247,7 @@ def _evaluate(medium, pulse, n_atoms: int):
     ratios to tau_0, which read "NA" in a transparent medium, where no
     photon is ever excited.
     """
-    sig = fine_signal(medium, pulse)
+    sig = gaussian_field(pulse, medium.gamma)
     rep = spectral_report(sig, medium)
     weak = weak_excitation_trace(sig, medium, n_atoms=n_atoms)
     tau_t_oracle = weak.tau_transmitted()

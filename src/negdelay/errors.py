@@ -19,7 +19,8 @@ class ConfigError(NegdelayError):
 
 
 class ConvergenceError(NegdelayError):
-    """An iterative procedure failed to converge."""
+    """The collision model has no emitter, a per-emitter depth past
+    ``oracle.MAX_OD_PER_ATOM`` or a vanished post-selection norm."""
 
     exit_code = 3
 

@@ -58,15 +58,14 @@ from .analysis import class_sums
 from .errors import ConfigError
 from .excitation import phi0_trace, spectral_report
 from .medium import MediumSpec, conversion_factor
-from .oracle import max_step, weak_excitation_trace
-from .pulse import LEAD_SIGMAS, TAIL_LIFETIMES, PulseSpec, gaussian_field
+from .oracle import weak_excitation_trace
+from .pulse import PulseSpec, gaussian_field
 
 __all__ = [
     "ShotConfig",
     "CycleData",
     "MODES",
     "bin_average",
-    "fine_signal",
     "derive_shapes",
     "calibrate_detection",
     "kappa_enumeration",
@@ -74,6 +73,9 @@ __all__ = [
 ]
 
 MODES = ("normal", "no_atoms", "bypass_atoms", "no_signal")
+#: most float64 values in a cycle array (n_samples^2 covariance, shots x
+#: n_samples traces): 32 MiB, 78x the default cycle; a typo could ask for GB
+MAX_CYCLE_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,12 @@ class ShotConfig:
             raise ConfigError("filter and wobble frequencies must be positive")
         if self.shots_per_cycle < 1:
             raise ConfigError("shots_per_cycle must be at least 1")
+        rows = max(self.n_samples, self.shots_per_cycle)
+        if rows * self.n_samples > MAX_CYCLE_ELEMENTS:
+            raise ConfigError(
+                f"n_samples {self.n_samples} and shots_per_cycle {self.shots_per_cycle}"
+                f" need more than {MAX_CYCLE_ELEMENTS} elements in one cycle array"
+            )
 
     def sample_times(self) -> np.ndarray:
         """Bin centers of the acquisition window, seconds."""
@@ -190,32 +198,6 @@ def bin_average(
     return np.diff(at_edges) / widths
 
 
-#: most samples ``fine_signal`` may ask for: 8x the largest grid that the
-#: tests, the defaults and the sweeps use (32768, a 700 ns pulse at a 26 ns
-#: lifetime). The collision model pads a grid by at most 48/15 of itself,
-#: so one of its frame arrays stays within 2**21 points (32 MB).
-MAX_GRID_POINTS = 1 << 18
-
-
-def fine_signal(medium: MediumSpec, pulse: PulseSpec):
-    """Pulse field on a grid fine enough for the collision model.
-
-    Raises ConfigError, before allocating, when that grid would exceed
-    MAX_GRID_POINTS samples.
-    """
-    step = max_step(medium, pulse.sigma_rms)
-    span = 2.0 * LEAD_SIGMAS * pulse.sigma_rms + TAIL_LIFETIMES / medium.gamma
-    # multiplied, not divided: step underflows to 0 at extreme inputs
-    if not span <= MAX_GRID_POINTS * step:
-        raise ConfigError(
-            f"linewidth {medium.gamma:.3g} rad/s with sigma_rms "
-            f"{pulse.sigma_rms:.3g} s needs more than {MAX_GRID_POINTS} "
-            "grid samples"
-        )
-    n = max(4096, 1 << math.ceil(math.log2(span / step)))
-    return gaussian_field(pulse, medium.gamma, n=n)
-
-
 def derive_shapes(
     medium: MediumSpec,
     pulse: PulseSpec,
@@ -228,7 +210,7 @@ def derive_shapes(
     solves the scattered shape from the two.
 
     ``snap_every`` is ignored: the collision model keeps no checkpoints."""
-    sig = fine_signal(medium, pulse)
+    sig = gaussian_field(pulse, medium.gamma)
     conv = conversion_factor(medium)
     weak = weak_excitation_trace(sig, medium, n_atoms=n_atoms)
     phi_t_fine = conv * weak.weak

@@ -89,14 +89,10 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .medium import MediumSpec
-from .pulse import SampledSignal
+from .pulse import STEP_LIFETIME_FRACTION, SampledSignal
 
-__all__ = ["max_step", "weak_excitation_trace"]
+__all__ = ["weak_excitation_trace"]
 
-#: hard ceiling on the time step relative to the linewidth
-STEP_LIFETIME_FRACTION = 0.02
-#: ceiling relative to the pulse duration
-STEP_SIGMA_FRACTION = 0.05
 #: weak-extinction bound per emitter; beyond it the chain no longer
 #: approximates a Lorentzian slab, though its calibration stays exact
 MAX_OD_PER_ATOM = 0.25
@@ -171,14 +167,6 @@ def build_model(medium: MediumSpec, dt: float, n_atoms: int) -> tuple[float, flo
             hi = theta
         theta = (lo + hi) / 2.0
     return theta, gamma - theta**2 / dt
-
-
-def max_step(medium: MediumSpec, sigma_rms: float) -> float:
-    """Largest admissible step for a pulse of the given duration."""
-    return min(
-        STEP_LIFETIME_FRACTION / medium.gamma,
-        STEP_SIGMA_FRACTION * sigma_rms,
-    )
 
 
 def _frame_length(n_steps: int, gamma: float, dt: float) -> int:

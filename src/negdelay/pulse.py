@@ -12,6 +12,7 @@ intensity rms is 1/(2 sigma).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,25 +77,47 @@ class SampledSignal:
 
 LEAD_SIGMAS = 9.0
 TAIL_LIFETIMES = 15.0
+#: fine-grid step ceilings per lifetime (``oracle.build_model``'s too), per sigma
+STEP_LIFETIME_FRACTION = 0.02
+STEP_SIGMA_FRACTION = 0.05
+#: most samples of a fine grid: 8x the largest that the tests, defaults
+#: and sweeps use (32768, a 700 ns pulse at a 26 ns lifetime). The collision
+#: model pads a grid by at most 48/15, so a frame stays within 2**21 points.
+MAX_GRID_POINTS = 1 << 18
 
 
-def gaussian_field(pulse: PulseSpec, gamma: float, n: int = 4096) -> SampledSignal:
+def gaussian_field(
+    pulse: PulseSpec, gamma: float, n: int | None = None
+) -> SampledSignal:
     """Unit-normalized Gaussian field envelope on n samples.
 
     The grid always spans [-9 sigma, 9 sigma + 15/gamma) around the pulse
     peak at t = 0: 9 sigma is the smallest whole-sigma lead that leaves
     the exp(-t^2/4 sigma^2) envelope below 1e-8 of its peak, and 15
-    lifetimes of trailing room hold the medium's ringdown. The edge guard
-    rejects a grid whose first or last sample holds more than 1e-8 of its
-    largest sample. At this span that happens only on grids too coarse to
-    sample the pulse: n = 2 always (one of its two samples is the
-    largest), and small n such as 4 or 8 when the pulse falls between
-    samples or near the last one.
+    lifetimes of trailing room hold the medium's ringdown. With no n it
+    is the fine grid every route runs on: the least power of two of at
+    least 4096 samples whose step meets both step ceilings, refused with
+    ConfigError, before allocating, past MAX_GRID_POINTS samples.
+
+    The edge guard rejects a grid whose first or last sample holds more
+    than 1e-8 of its largest sample. At this span that happens only on
+    grids too coarse to sample the pulse: n = 2 always (one of its two
+    samples is the largest), and n such as 4 or 8 when the pulse falls
+    between samples or near the last one.
     """
     sig = pulse.sigma_rms
     t_lo = -LEAD_SIGMAS * sig
-    t_hi = LEAD_SIGMAS * sig + TAIL_LIFETIMES / gamma
-    dt = (t_hi - t_lo) / n
+    span = LEAD_SIGMAS * sig + TAIL_LIFETIMES / gamma - t_lo
+    if n is None:
+        step = min(STEP_LIFETIME_FRACTION / gamma, STEP_SIGMA_FRACTION * sig)
+        # multiplied, not divided: step underflows to 0 at extreme inputs
+        if not span <= MAX_GRID_POINTS * step:
+            raise ConfigError(
+                f"linewidth {gamma:.3g} rad/s with sigma_rms {sig:.3g} s "
+                f"needs more than {MAX_GRID_POINTS} grid samples"
+            )
+        n = max(4096, 1 << math.ceil(math.log2(span / step)))
+    dt = span / n
     t = t_lo + dt * np.arange(n)
     env = np.exp(-(t**2) / (4.0 * sig * sig)).astype(np.complex128)
     if pulse.center_detuning != 0.0:
@@ -107,4 +130,3 @@ def gaussian_field(pulse: PulseSpec, gamma: float, n: int = 4096) -> SampledSign
         )
     env /= np.sqrt(np.sum(np.abs(env) ** 2) * dt)
     return SampledSignal(dt=dt, t0=t_lo, samples=env)
-

@@ -8,8 +8,9 @@ the frozen specs.
 import pytest
 
 from negdelay.config import default_config
-from negdelay.montecarlo import calibrate_detection, derive_shapes, fine_signal
+from negdelay.montecarlo import calibrate_detection, derive_shapes
 from negdelay.oracle import weak_excitation_trace
+from negdelay.pulse import gaussian_field
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +20,7 @@ def run():
 
 @pytest.fixture(scope="session")
 def fine_sig(run):
-    return fine_signal(run.medium, run.pulse)
+    return gaussian_field(run.pulse, run.medium.gamma)
 
 
 @pytest.fixture(scope="session")

@@ -39,11 +39,11 @@ from negdelay.medium import conversion_factor, group_delay, transfer_function
 from negdelay.montecarlo import (
     bin_average,
     calibrate_detection,
-    fine_signal,
     kappa_enumeration,
     run_campaign,
 )
 from negdelay.oracle import weak_excitation_trace
+from negdelay.pulse import gaussian_field
 
 REDUCED_NOISE = 0.012  # rad; default 0.120 scaled down tenfold
 
@@ -142,7 +142,7 @@ def test_criterion_01_conservation_sweep(run):
     worst = 0.0
     for sigma_ns, od in points:
         m = replace(run.medium, od=od)
-        sig = fine_signal(m, replace(run.pulse, sigma_rms=sigma_ns * 1e-9))
+        sig = gaussian_field(replace(run.pulse, sigma_rms=sigma_ns * 1e-9), m.gamma)
         n_e = phi0_trace(sig, m) / conversion_factor(m)
         budget = (
             m.gamma * np.sum(n_e) * sig.dt
@@ -164,7 +164,7 @@ def test_criterion_02_analytic_limits(run):
     worst_nb = 0.0
     for od in (1.0, 4.0):
         m = replace(run.medium, od=od)
-        sig = fine_signal(m, replace(run.pulse, sigma_rms=700e-9))
+        sig = gaussian_field(replace(run.pulse, sigma_rms=700e-9), m.gamma)
         got = spectral_report(sig, m).tau_0
         worst_nb = max(worst_nb, abs(got * gamma / (1.0 - math.exp(-od)) - 1.0))
 
@@ -196,7 +196,7 @@ def test_criterion_03_reference_operating_point(run, fine_sig):
     primary = _spectral_ratio(fine_sig, run.medium)
     # same nominal 10 ns read as a field rms instead of an intensity rms
     narrower = replace(run.pulse, sigma_rms=run.pulse.sigma_rms / math.sqrt(2.0))
-    alt = _spectral_ratio(fine_signal(run.medium, narrower), run.medium)
+    alt = _spectral_ratio(gaussian_field(narrower, run.medium.gamma), run.medium)
     _report(
         3,
         "reference ratio at 10 ns and od 4",
@@ -210,7 +210,7 @@ def test_criterion_04_sign_structure(run, fine_sig, weak):
     sp_pos = _spectral_ratio(fine_sig, run.medium)
     or_pos = weak.tau_transmitted() / weak.tau_unconditioned()
     m = replace(run.medium, od=3.0)
-    sig = fine_signal(m, replace(run.pulse, sigma_rms=36e-9))
+    sig = gaussian_field(replace(run.pulse, sigma_rms=36e-9), m.gamma)
     sp_neg = _spectral_ratio(sig, m)
     tr = weak_excitation_trace(sig, m, run.n_atoms)
     or_neg = tr.tau_transmitted() / tr.tau_unconditioned()
@@ -230,7 +230,8 @@ def test_criterion_05_oracle_matches_spectral(run):
     for sigma_ns in (10.0, 18.0, 27.0, 36.0):
         for od in (2.0, 3.0, 4.0):
             m = replace(run.medium, od=od)
-            sig = fine_signal(m, replace(run.pulse, sigma_rms=sigma_ns * 1e-9))
+            pulse = replace(run.pulse, sigma_rms=sigma_ns * 1e-9)
+            sig = gaussian_field(pulse, m.gamma)
             rep = spectral_report(sig, m)
             tau_or = weak_excitation_trace(sig, m, run.n_atoms).tau_transmitted()
             worst = max(worst, abs(tau_or - rep.tau_T) / abs(rep.tau_0))
@@ -246,7 +247,7 @@ def test_criterion_05_oracle_matches_spectral(run):
 
 def test_criterion_06_quadrature_consistency(run, weak):
     m = replace(run.medium, od=3.0)
-    sig36 = fine_signal(m, replace(run.pulse, sigma_rms=36e-9))
+    sig36 = gaussian_field(replace(run.pulse, sigma_rms=36e-9), m.gamma)
     tr36 = weak_excitation_trace(sig36, m, run.n_atoms)
     devs = []
     for tr in (weak, tr36):
@@ -446,7 +447,8 @@ def test_criterion_12_timestamp_offset(run):
     edges = np.arange(shot.n_samples + 1) * shot.dt - shot.pulse_center
     misses = []
     for sigma_ns in (10.0, 18.0, 27.0, 36.0):
-        sig = fine_signal(run.medium, replace(run.pulse, sigma_rms=sigma_ns * 1e-9))
+        pulse = replace(run.pulse, sigma_rms=sigma_ns * 1e-9)
+        sig = gaussian_field(pulse, run.medium.gamma)
         phi0 = phi0_trace(sig, run.medium)
         binned = bin_average(phi0, sig.dt, sig.t0, edges)
         shift, _ = time_align(

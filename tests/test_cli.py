@@ -650,6 +650,9 @@ def test_sweep_transparent_medium_reports_na(tmp_path):
         ("shot.dt_ns = inf", "key 'shot.dt_ns': must be finite"),
         ("shot.phase_noise_mrad = -inf", "key 'shot.phase_noise_mrad': must be finite"),
         ("sweep.od = 2, nan", "key 'sweep.od': must be finite"),
+        # a cycle array far past its bound is refused before allocation
+        ("shot.n_samples = 100000", "n_samples 100000"),
+        ("shot.shots_per_cycle = 100000000", "shots_per_cycle 100000000"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, text, msg):

@@ -14,7 +14,6 @@ from negdelay import excitation
 from negdelay.errors import ConfigError
 from negdelay.excitation import _gauss_legendre, phi0_trace, spectral_report
 from negdelay.medium import conversion_factor, group_delay, transfer_function
-from negdelay.montecarlo import fine_signal
 from negdelay.pulse import PulseSpec, SampledSignal, gaussian_field
 
 
@@ -37,7 +36,7 @@ def test_conservation_at_default_point(run, fine_sig):
 def test_conservation_for_detuned_pulse(run):
     m = replace(run.medium, od=3.0)
     pulse = PulseSpec(sigma_rms=18e-9, center_detuning=m.gamma / 2.0)
-    sig = fine_signal(m, pulse)
+    sig = gaussian_field(pulse, m.gamma)
     tbar = spectral_report(sig, m).transmission
     integral = np.sum(_population(sig, m)) * sig.dt
     assert m.gamma * integral + tbar == pytest.approx(1.0, abs=1e-4)
@@ -88,8 +87,8 @@ def test_real_transforms_match_complex_reference(run, sigma_ns, od, detuning, n)
     pulse = PulseSpec(
         sigma_rms=sigma_ns * 1e-9, center_detuning=detuning * m.gamma
     )
-    # the default grid is fine_signal's; an explicit n overrides it
-    sig = fine_signal(m, pulse) if n is None else gaussian_field(pulse, m.gamma, n=n)
+    # n = None picks the fine grid; an explicit n overrides it
+    sig = gaussian_field(pulse, m.gamma, n=n)
     got = _population(sig, m)
     # numpy's rule, an independent source of the same nodes
     x, w = leggauss(excitation._DEPTH_RULE[0].size)
@@ -128,17 +127,17 @@ def test_spectral_report_transforms_once(run, fine_sig, monkeypatch):
 
 def test_zero_depth_report(run):
     m = replace(run.medium, od=0.0)
-    sig = fine_signal(m, run.pulse)
+    sig = gaussian_field(run.pulse, m.gamma)
     rep = spectral_report(sig, m)
     assert rep.tau_0 == 0.0
     assert rep.tau_T == 0.0
 
 
 def test_sign_structure(run):
-    narrow = spectral_report(fine_signal(run.medium, run.pulse), run.medium)
+    narrow = spectral_report(gaussian_field(run.pulse, run.medium.gamma), run.medium)
     assert narrow.tau_T / narrow.tau_0 > 0.0
     m = replace(run.medium, od=3.0)
-    broad = spectral_report(fine_signal(m, PulseSpec(sigma_rms=36e-9)), m)
+    broad = spectral_report(gaussian_field(PulseSpec(sigma_rms=36e-9), m.gamma), m)
     assert broad.tau_T / broad.tau_0 < 0.0
 
 
@@ -148,7 +147,7 @@ def test_transmitted_time_monotone_in_depth(run):
     taus = []
     for od in (1.0, 2.0, 3.0):
         m = replace(run.medium, od=od)
-        taus.append(spectral_report(fine_signal(m, pulse), m).tau_T)
+        taus.append(spectral_report(gaussian_field(pulse, m.gamma), m).tau_T)
     assert taus[0] > taus[1] > taus[2]
     assert taus[2] < 0.0
 
@@ -156,7 +155,7 @@ def test_transmitted_time_monotone_in_depth(run):
 def test_ratio_crosses_zero_with_duration(run):
     m = replace(run.medium, od=3.0)
     reports = [
-        spectral_report(fine_signal(m, PulseSpec(sigma_rms=s * 1e-9)), m)
+        spectral_report(gaussian_field(PulseSpec(sigma_rms=s * 1e-9), m.gamma), m)
         for s in (10.0, 18.0, 27.0, 36.0)
     ]
     ratios = [rep.tau_T / rep.tau_0 for rep in reports]
@@ -167,7 +166,7 @@ def test_ratio_crosses_zero_with_duration(run):
 
 def test_vanishing_depth_limit_weights_by_input_spectrum(run):
     m = replace(run.medium, od=1e-9)
-    sig = fine_signal(m, run.pulse)
+    sig = gaussian_field(run.pulse, m.gamma)
     tau = spectral_report(sig, m).tau_T
     delta = _frequencies(sig)
     w = np.abs(np.fft.ifft(sig.samples)) ** 2
@@ -189,7 +188,7 @@ def _node_count_change(run, od, coarse, fine, monkeypatch):
     """Largest change of N_e from ``coarse`` to ``fine`` depth nodes at
     the default pulse, relative to the N_e peak."""
     m = replace(run.medium, od=od)
-    sig = fine_signal(m, run.pulse)
+    sig = gaussian_field(run.pulse, m.gamma)
     monkeypatch.setattr(excitation, "_DEPTH_RULE", _gauss_legendre(coarse))
     a = _population(sig, m)
     monkeypatch.setattr(excitation, "_DEPTH_RULE", _gauss_legendre(fine))
@@ -222,7 +221,7 @@ def test_phi0_is_scaled_population(run, fine_sig):
 def test_default_scale_anchors_27ns_peak(run):
     """The shipped sigma0/A puts the unconditioned phase peak of the
     27 ns / od 4 operating point at exactly 15 urad."""
-    sig = fine_signal(run.medium, PulseSpec(sigma_rms=27e-9))
+    sig = gaussian_field(PulseSpec(sigma_rms=27e-9), run.medium.gamma)
     peak = np.abs(phi0_trace(sig, run.medium)).max()
     assert peak == pytest.approx(15e-6, rel=1e-12)
 

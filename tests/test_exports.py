@@ -1,7 +1,8 @@
 """Public surface: every ``__all__`` entry resolves and has a caller in
 the CLI pipeline or the acceptance gate, names and fields that were
-removed from the package stay removed, and ``pulse`` imports nothing
-from ``medium``."""
+removed from the package stay removed, ``pulse`` imports nothing from
+``medium`` and alone holds the grid policy, and no module imports a
+name it never uses."""
 
 import ast
 import dataclasses
@@ -69,6 +70,8 @@ REMOVED = (
     "transmitted_excitation_time",
     "excited_population",
     "ExcitationTrace",
+    "fine_signal",
+    "max_step",
 )
 
 #: the package root's former re-exports: each lives in its own module
@@ -217,3 +220,45 @@ def test_pulse_grids_do_not_import_the_medium():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not [m for m in imported if m.startswith("negdelay.medium")]
+
+
+#: the fine-grid policy's constants, and the modules allowed to name each
+GRID_POLICY = {
+    "LEAD_SIGMAS": {"pulse"},
+    "TAIL_LIFETIMES": {"pulse"},
+    "MAX_GRID_POINTS": {"pulse"},
+    "STEP_SIGMA_FRACTION": {"pulse"},
+    # the collision model refuses a coarser step on any grid
+    "STEP_LIFETIME_FRACTION": {"pulse", "oracle"},
+}
+
+
+def test_grid_policy_lives_in_pulse():
+    # gaussian_field works out every pulse grid; no other module knows
+    # its span, step ceilings or size ceiling
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        named = _named(ast.parse(path.read_text(encoding="utf-8")))
+        strays += [
+            f"{path.stem}.{name}"
+            for name, owners in GRID_POLICY.items()
+            if name in named and path.stem not in owners
+        ]
+    assert strays == []
+
+
+def test_no_module_imports_an_unused_name():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used.update(_exports(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.stem}: {bound}")
+    assert unused == []

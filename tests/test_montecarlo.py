@@ -32,13 +32,10 @@ from negdelay.montecarlo import (
     bin_average,
     calibrate_detection,
     derive_shapes,
-    fine_signal,
     kappa_enumeration,
     run_campaign,
     simulate_cycle,
 )
-from negdelay.oracle import max_step
-from negdelay.pulse import PulseSpec
 
 
 # ---------------------------------------------------------------- kappa
@@ -932,6 +929,9 @@ def test_ratio_estimate_is_scale_free(run, shapes, cal):
         (dict(lowpass_cutoff=0.0), "positive"),
         (dict(wobble_frequency=0.0), "positive"),
         (dict(shots_per_cycle=0), "shots_per_cycle"),
+        # far past the cycle-array bound; refused before any allocation
+        (dict(n_samples=100_000), "n_samples 100000"),
+        (dict(shots_per_cycle=10**9), "shots_per_cycle 1000000000"),
     ],
 )
 def test_shot_config_validation(run, kwargs, msg):
@@ -951,26 +951,3 @@ def test_campaign_guard(run, shapes, cal):
     with pytest.raises(ConfigError, match="n_cycles"):
         list(run_campaign(0, -1, shapes, run.shot, cal))
 
-
-def test_fine_signal_grid_choices(run):
-    for sigma, n in [(10e-9, 4096), (150e-9, 8192), (300e-9, 16384), (700e-9, 32768)]:
-        sig = fine_signal(run.medium, PulseSpec(sigma_rms=sigma))
-        assert sig.n == n
-        assert sig.dt <= max_step(run.medium, sigma)
-
-
-def test_fine_signal_grid_ceiling(run, monkeypatch):
-    """The ceiling is checked before any sample is allocated: a grid just
-    within it is built, one just past it and the unbounded ones at extreme
-    linewidths are refused."""
-    assert montecarlo.MAX_GRID_POINTS >= 8 * 32768
-    # 700 ns needs 32768 samples: refused under a 16384 ceiling
-    monkeypatch.setattr(montecarlo, "MAX_GRID_POINTS", 32768)
-    assert fine_signal(run.medium, PulseSpec(sigma_rms=700e-9)).n == 32768
-    monkeypatch.setattr(montecarlo, "MAX_GRID_POINTS", 16384)
-    with pytest.raises(ConfigError, match="linewidth .* grid samples"):
-        fine_signal(run.medium, PulseSpec(sigma_rms=700e-9))
-    monkeypatch.undo()
-    for gamma in (1e-5, 1e300):
-        with pytest.raises(ConfigError, match="linewidth .* grid samples"):
-            fine_signal(replace(run.medium, gamma=gamma), run.pulse)

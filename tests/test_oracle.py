@@ -15,18 +15,19 @@ from hypothesis import strategies as st
 from negdelay.errors import ConfigError, ConvergenceError
 from negdelay.excitation import phi0_trace, spectral_report
 from negdelay.medium import conversion_factor
-from negdelay.montecarlo import fine_signal
 from negdelay.oracle import (
     MAX_OD_PER_ATOM,
     PAD_LIFETIMES,
-    STEP_LIFETIME_FRACTION,
-    STEP_SIGMA_FRACTION,
     _frame_length,
     build_model,
-    max_step,
     weak_excitation_trace,
 )
-from negdelay.pulse import PulseSpec, SampledSignal, gaussian_field
+from negdelay.pulse import (
+    STEP_LIFETIME_FRACTION,
+    PulseSpec,
+    SampledSignal,
+    gaussian_field,
+)
 
 GAMMA = 1.0 / 26e-9
 
@@ -84,17 +85,6 @@ def test_build_model_validation(run, fine_sig):
         build_model(run.medium, 1e-9, run.n_atoms)
 
 
-def test_max_step_regimes(run):
-    # short pulse: the pulse duration limits the step
-    assert max_step(run.medium, 10e-9) == pytest.approx(
-        STEP_SIGMA_FRACTION * 10e-9, rel=1e-15
-    )
-    # long pulse: the lifetime limits it
-    assert max_step(run.medium, 700e-9) == pytest.approx(
-        STEP_LIFETIME_FRACTION / run.medium.gamma, rel=1e-15
-    )
-
-
 def test_single_emitter_long_pulse_transmission(run):
     """One emitter driven far below linewidth must reproduce exp(-od)."""
     m = replace(run.medium, od=0.0625)
@@ -105,7 +95,7 @@ def test_single_emitter_long_pulse_transmission(run):
 
 def test_narrowband_time_approaches_group_delay(run):
     m = replace(run.medium, od=2.0)
-    sig = fine_signal(m, PulseSpec(sigma_rms=300e-9))
+    sig = gaussian_field(PulseSpec(sigma_rms=300e-9), m.gamma)
     tau = weak_excitation_trace(sig, m, run.n_atoms).tau_transmitted()
     assert abs(tau + 52e-9) < 0.05 * 52e-9
     assert tau == pytest.approx(-5.121833787409131e-08, rel=1e-9)
@@ -146,7 +136,7 @@ def test_extrapolated_chain_meets_the_slab_population_on_its_axis(
     peak at these points; read at the right times the gaps are the
     ``floor`` values, and the gate is 2.5e-4 of the peak."""
     m = replace(run.medium, od=od)
-    sig = fine_signal(m, replace(run.pulse, sigma_rms=sigma_ns * 1e-9))
+    sig = gaussian_field(replace(run.pulse, sigma_rms=sigma_ns * 1e-9), m.gamma)
     coarse, fine = (weak_excitation_trace(sig, m, n) for n in (64, 128))
     extrapolated = 2.0 * fine.population - coarse.population
     got = np.interp(sig.axis(), coarse.axis(), extrapolated)
@@ -201,7 +191,7 @@ def test_time_step_convergence(run):
 
 def test_conditional_trace_goes_negative(run):
     m = replace(run.medium, od=3.0)
-    sig = fine_signal(m, PulseSpec(sigma_rms=36e-9))
+    sig = gaussian_field(PulseSpec(sigma_rms=36e-9), m.gamma)
     tr = weak_excitation_trace(sig, m, run.n_atoms)
     assert tr.weak.min() < 0.0
     assert tr.population.min() >= 0.0
@@ -229,7 +219,7 @@ def _is_5_smooth(k):
 def test_frame_length_is_smallest_fast_length(n, gamma, gamma_dt):
     """The frame is 5-smooth, holds the grid and PAD_LIFETIMES of
     ringdown, and never exceeds the next power of two, which keeps the
-    2**21-point frame bound stated at montecarlo.MAX_GRID_POINTS."""
+    2**21-point frame bound stated at pulse.MAX_GRID_POINTS."""
     dt = gamma_dt / gamma
     need = n + math.ceil(PAD_LIFETIMES / (gamma * dt))
     size = _frame_length(n, gamma, dt)
@@ -243,7 +233,8 @@ def test_frame_length_is_smallest_fast_length(n, gamma, gamma_dt):
 def test_frame_length_at_the_theory_pulses(run):
     sizes = []
     for sigma_ns in (5.0, 10.0, 36.0, 150.0):
-        sig = fine_signal(run.medium, PulseSpec(sigma_rms=sigma_ns * 1e-9))
+        pulse = PulseSpec(sigma_rms=sigma_ns * 1e-9)
+        sig = gaussian_field(pulse, run.medium.gamma)
         sizes.append(_frame_length(sig.n, run.medium.gamma, sig.dt))
     assert sizes == [15000, 13122, 9216, 11520]
 
@@ -302,7 +293,7 @@ def test_fft_cascade_matches_step_loop(run, sigma_ns, od, detuning):
     pulse = PulseSpec(
         sigma_rms=sigma_ns * 1e-9, center_detuning=detuning * m.gamma
     )
-    sig = fine_signal(m, pulse)
+    sig = gaussian_field(pulse, m.gamma)
     tr = weak_excitation_trace(sig, m, run.n_atoms)
     weak, population, transmission = _step_loop_trace(sig, m)
     rtol = 1e-12

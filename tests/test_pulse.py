@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negdelay import pulse as pulse_module
 from negdelay.errors import ConfigError
 from negdelay.excitation import spectral_report
-from negdelay.pulse import PulseSpec, SampledSignal, gaussian_field
+from negdelay.pulse import (
+    STEP_LIFETIME_FRACTION,
+    STEP_SIGMA_FRACTION,
+    PulseSpec,
+    SampledSignal,
+    gaussian_field,
+)
 
 
 def test_unit_normalization(run):
@@ -59,6 +66,46 @@ def test_fixed_span_grid_acceptance(sigma, n, accepted):
     else:
         with pytest.raises(ConfigError, match=f"{n}-sample grid is too coarse"):
             gaussian_field(pulse, gamma, n=n)
+
+
+def test_fine_grid_choices(run):
+    for sigma, n in [(10e-9, 4096), (150e-9, 8192), (300e-9, 16384), (700e-9, 32768)]:
+        sig = gaussian_field(PulseSpec(sigma_rms=sigma), run.medium.gamma)
+        assert sig.n == n
+        assert sig.dt <= STEP_SIGMA_FRACTION * sigma
+        assert sig.dt <= STEP_LIFETIME_FRACTION / run.medium.gamma
+
+
+def test_fine_grid_step_regimes(run):
+    """With no n the step is the least power-of-two refinement under the
+    tighter ceiling: the pulse duration for a short pulse, the lifetime
+    for a long one."""
+    ceilings = {
+        2e-9: STEP_SIGMA_FRACTION * 2e-9,
+        700e-9: STEP_LIFETIME_FRACTION / run.medium.gamma,
+    }
+    for sigma, ceiling in ceilings.items():
+        sig = gaussian_field(PulseSpec(sigma_rms=sigma), run.medium.gamma)
+        assert sig.n > 4096
+        assert ceiling / 2.0 < sig.dt <= ceiling
+
+
+def test_fine_grid_ceiling(run, monkeypatch):
+    """The ceiling is checked before any sample is allocated: a grid just
+    within it is built, one just past it and the unbounded ones at extreme
+    linewidths are refused."""
+    assert pulse_module.MAX_GRID_POINTS >= 8 * 32768
+    # 700 ns needs 32768 samples: refused under a 16384 ceiling
+    long_pulse = PulseSpec(sigma_rms=700e-9)
+    monkeypatch.setattr(pulse_module, "MAX_GRID_POINTS", 32768)
+    assert gaussian_field(long_pulse, run.medium.gamma).n == 32768
+    monkeypatch.setattr(pulse_module, "MAX_GRID_POINTS", 16384)
+    with pytest.raises(ConfigError, match="linewidth .* grid samples"):
+        gaussian_field(long_pulse, run.medium.gamma)
+    monkeypatch.undo()
+    for gamma in (1e-5, 1e300):
+        with pytest.raises(ConfigError, match="linewidth .* grid samples"):
+            gaussian_field(run.pulse, gamma)
 
 
 @pytest.mark.parametrize("n", [0, 1])
