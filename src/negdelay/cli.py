@@ -65,6 +65,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _output(path: Path, mode: str):
+    """``path`` opened in ``mode`` for writing, as a hidden ``.part``
+    sibling renamed onto ``path`` only when the block completes: every
+    output appears whole or not at all. The output directory is made
+    here, at the first write, so a run refused before it leaves none."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path.parent}: {exc}") from None
+    part = path.with_name(f".{path.name}.part")
+    try:
+        with part.open(mode) as f:
+            yield f
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
 #: rows of a float matrix that ``_write_csv`` formats at a time
 _CSV_BLOCK = 1024
 
@@ -78,7 +97,7 @@ def _write_csv(path: Path, run: RunConfig, seed, columns, rows) -> None:
         + (f" seed={seed}" if seed is not None else ""),
         ",".join(columns),
     ]
-    with path.open("w") as f:
+    with _output(path, "w") as f:
         f.write("\n".join(lines) + "\n")
         if not isinstance(rows, np.ndarray):
             f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
@@ -112,8 +131,7 @@ def _write_log(path: Path, run: RunConfig, seed, cycles, truth: bool) -> None:
 
     Traces are written as each cycle arrives; only the per-shot click
     flags, and with ``truth`` the photon fates (``_TRUTH_ARRAYS``), are
-    held as rows until the campaign ends. The log is renamed into place
-    only once complete, so a failed campaign leaves no log.
+    held as rows until the campaign ends.
     """
     shape = (run.n_cycles, run.shot.shots_per_cycle, run.shot.n_samples)
     per_shot = {
@@ -128,28 +146,23 @@ def _write_log(path: Path, run: RunConfig, seed, cycles, truth: bool) -> None:
         "mode": "normal",
         "n_cycles": run.n_cycles,
     }
-    part = path.with_name(f".{path.name}.part")
-    try:
-        with zipfile.ZipFile(part, "w") as zf:
-            header, info = _npy_member("traces.npy", np.float64, shape)
+    with _output(path, "wb") as f, zipfile.ZipFile(f, "w") as zf:
+        header, info = _npy_member("traces.npy", np.float64, shape)
+        with zf.open(info, "w") as fh:
+            fh.write(header)
+            for cycle in cycles:
+                fh.write(np.ascontiguousarray(cycle.traces, np.float64))
+                for name, rows in per_shot.items():
+                    rows.append(getattr(cycle, name))
+        for name, rows in per_shot.items():
+            header, info = _npy_member(f"{name}.npy", rows[0].dtype, shape[:2])
             with zf.open(info, "w") as fh:
                 fh.write(header)
-                for cycle in cycles:
-                    fh.write(np.ascontiguousarray(cycle.traces, np.float64))
-                    for name, rows in per_shot.items():
-                        rows.append(getattr(cycle, name))
-            for name, rows in per_shot.items():
-                header, info = _npy_member(f"{name}.npy", rows[0].dtype, shape[:2])
-                with zf.open(info, "w") as fh:
-                    fh.write(header)
-                    fh.writelines(rows)
-            zf.writestr(
-                zipfile.ZipInfo("meta.json", date_time=_ZIP_EPOCH),
-                json.dumps(meta, sort_keys=True, indent=1),
-            )
-        os.replace(part, path)
-    finally:
-        part.unlink(missing_ok=True)
+                fh.writelines(rows)
+        zf.writestr(
+            zipfile.ZipInfo("meta.json", date_time=_ZIP_EPOCH),
+            json.dumps(meta, sort_keys=True, indent=1),
+        )
 
 
 @contextmanager
@@ -164,6 +177,10 @@ def _read_log(path: Path, run: RunConfig):
     with ExitStack() as stack:
         try:
             zf = stack.enter_context(zipfile.ZipFile(path))
+            # the writer only stores: another codec or encryption is refused
+            for info in zf.infolist():
+                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
+                    raise ValueError(f"{info.filename} is not a plain stored member")
             meta = json.loads(zf.read("meta.json"))
             if not isinstance(meta, dict):
                 raise ValueError("meta.json does not hold an object")
@@ -189,22 +206,19 @@ def _read_log(path: Path, run: RunConfig):
                 ("traces.npy", np.dtype(np.float64), shape),
                 ("clicked.npy", np.dtype(np.bool_), shape[:2]),
             ):
+                # the header the writer makes for this config, compared
+                # byte for byte, so damage never reaches numpy's header
+                # parser; a member of exactly the writer's length is read
+                # to its end, where its CRC is checked
+                header, info = _npy_member(name, dtype, want)
                 fh = stack.enter_context(zf.open(name))
-                npy.read_magic(fh)
-                found, fortran_order, found_dtype = npy.read_array_header_1_0(fh)
-                # a member of exactly the declared length is read to its
-                # end, where its CRC is checked
-                data_bytes = zf.getinfo(name).file_size - fh.tell()
-                if (found, found_dtype, fortran_order, data_bytes) != (
-                    want, dtype, False, dtype.itemsize * math.prod(want)
+                if (fh.read(len(header)), zf.getinfo(name).file_size) != (
+                    header, info.file_size
                 ):
-                    raise ValueError(
-                        f"{name} holds {found} {found_dtype} in {data_bytes} "
-                        f"bytes, expected {want} {dtype}"
-                    )
+                    raise ValueError(f"{name} is not this config's {want} {dtype} array")
                 members.append((fh, dtype, want[1:]))
-        # zipfile raises RuntimeError for an encrypted member and its
-        # subclass NotImplementedError for an unsupported compression
+        # zipfile raises NotImplementedError, a RuntimeError, for flag
+        # bits 5 and 6 (patched data, strong encryption)
         except (OSError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
             raise unreadable(exc) from None
 
@@ -356,9 +370,15 @@ def _analyze_cycles(
 def _cmd_analyze(run: RunConfig, out: Path, args) -> int:
     with _read_log(Path(args.log), run) as (meta, cycles):
         shapes = derive_shapes(run.medium, run.pulse, run.shot, run.n_atoms)
-        return _analyze_cycles(
-            run, shapes, cycles, out, meta["seed"], gate=False
-        )
+        # a damaged sample can be finite yet overflow the statistics
+        # before its member's CRC fails at the end
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return _analyze_cycles(
+                    run, shapes, cycles, out, meta["seed"], gate=False
+                )
+        except FloatingPointError as exc:
+            raise ConfigError(f"cannot read shot log {args.log}: {exc}") from None
 
 
 def _cmd_nullcheck(run: RunConfig, out: Path, args) -> int:
@@ -458,12 +478,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run = load_config(args.config) if args.config else default_config()
-        out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out}: {exc}") from None
-        return _COMMANDS[args.command](run, out, args)
+        return _COMMANDS[args.command](run, Path(args.out), args)
     except NegdelayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -104,6 +104,8 @@ class ShotConfig:
             raise ConfigError("need n_samples >= 1 and dt > 0")
         if self.mean_photons < 0.0:
             raise ConfigError("mean_photons must be non-negative")
+        if self.wobble_amplitude != 0.0 and self.mean_photons == 0.0:
+            raise ConfigError("wobble injection needs mean_photons > 0")
         if not 0.0 <= self.target_click_prob < 1.0:
             raise ConfigError("target_click_prob must lie in [0, 1)")
         if not 0.0 <= self.background_click_fraction <= 0.2:
@@ -332,8 +334,6 @@ def _photon_terms(n_t, n_s, eff, config):
     ripple n_ph / mu, with n_ph = n_t + n_s, when the wobble is on."""
     cols, shapes = [n_t, n_s], [eff.phi_T1, eff.phi_S1]
     if config.wobble_amplitude != 0.0:
-        if config.mean_photons <= 0.0:
-            raise ConfigError("wobble injection needs mean_photons > 0")
         cols.append((n_t + n_s) / config.mean_photons)
         shapes.append(
             config.wobble_amplitude

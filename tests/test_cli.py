@@ -212,14 +212,15 @@ def test_simulate_without_cycles_writes_no_log(tmp_path, capsys):
             assert not out.exists()
 
 
-def test_failed_campaign_writes_no_log(tmp_path, monkeypatch):
-    def two_cycles_then_fail(*args, **kwargs):
-        cycles = run_campaign(*args, **kwargs)
-        yield next(cycles)
-        yield next(cycles)
-        raise ConfigError("campaign interrupted")
+def _two_cycles_then_fail(*args, **kwargs):
+    cycles = run_campaign(*args, **kwargs)
+    yield next(cycles)
+    yield next(cycles)
+    raise ConfigError("campaign interrupted")
 
-    monkeypatch.setattr(negdelay.cli, "run_campaign", two_cycles_then_fail)
+
+def test_failed_campaign_writes_no_log(tmp_path, monkeypatch):
+    monkeypatch.setattr(negdelay.cli, "run_campaign", _two_cycles_then_fail)
     cfg = _cfg(tmp_path, TINY)
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) != 0
@@ -231,7 +232,7 @@ def _analyze_fails(tmp_path, capsys, cfg, log, msg="cannot read shot log"):
     rc = main(["analyze", "--config", cfg, "--log", str(log), "--out", str(out)])
     assert rc == 2
     assert msg in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_damaged_trace_data_exits_2(tmp_path, capsys):
@@ -250,6 +251,26 @@ def test_damaged_trace_data_exits_2(tmp_path, capsys):
         damaged = tmp_path / f"damaged-{name}.npz"
         damaged.write_bytes(bytes(data))
         _analyze_fails(tmp_path, capsys, cfg, damaged)
+
+
+def test_overflowing_trace_sample_exits_2(tmp_path, capsys):
+    """A flipped top exponent bit turns a sample of about 0.1 rad into a
+    finite 1e307, which overflows the statistics before its member's CRC
+    fails at the end: the log is unreadable, and no floating-point
+    warning escapes."""
+    cfg = _cfg(tmp_path, TINY)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    log = sim / "shots.npz"
+    with zipfile.ZipFile(log) as zf:
+        sample = np.load(io.BytesIO(zf.read("traces.npy")))[0, 0, 0]
+    assert 0.0 < abs(sample) < 2.0
+    data = bytearray(log.read_bytes())
+    # the last byte of a little-endian float64 holds the sign and the
+    # top seven exponent bits
+    data[data.find(sample.tobytes()) + 7] ^= 0x40
+    log.write_bytes(bytes(data))
+    _analyze_fails(tmp_path, capsys, cfg, log, msg="overflow encountered")
 
 
 def _rewritten_log(tmp_path, cfg, edit):
@@ -704,7 +725,53 @@ def test_unbounded_linewidth_exits_2(tmp_path, capsys, gamma_mhz, start, msg):
     err = capsys.readouterr().err
     assert err.startswith(start) and msg in err
     assert "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text, msg",
+    [
+        (["theory"], "medium.gamma_MHz = 1e-12\n", "grid samples"),
+        (["sweep"], "medium.gamma_MHz = 1e-12\n", "grid samples"),
+        (
+            ["simulate"],
+            "shot.wobble_amplitude_urad = 100\nshot.mean_photons = 0\n"
+            "shot.target_click_prob = 0\n",
+            "wobble injection needs mean_photons > 0",
+        ),
+        (
+            ["nullcheck", "--kind", "no_signal"],
+            "shot.background_click_fraction = 0\n",
+            "needs background clicks",
+        ),
+        (["analyze", "--log", "absent.npz"], "", "cannot read shot log"),
+    ],
+    ids=["theory", "sweep", "simulate", "nullcheck", "analyze"],
+)
+def test_refused_run_leaves_no_out(tmp_path, capsys, monkeypatch, argv, text, msg):
+    """--out is created at the first write, so a command refused after
+    its config loads, before it writes, leaves no output directory."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "x"
+    cfg = _cfg(tmp_path, TINY + text)
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_write_keeps_the_rest_of_out(tmp_path, monkeypatch):
+    """A write that fails into an existing --out changes none of its
+    files, not even an older file of the same name, and leaves no
+    .part file behind."""
+    out = tmp_path / "sim"
+    out.mkdir()
+    before = {"notes.txt": b"kept\n", "shots.npz": b"an older log"}
+    for name, blob in before.items():
+        (out / name).write_bytes(blob)
+    monkeypatch.setattr(negdelay.cli, "run_campaign", _two_cycles_then_fail)
+    cfg = _cfg(tmp_path, TINY)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
 @pytest.mark.parametrize(
@@ -737,7 +804,7 @@ def test_empty_click_class_exits_4(tmp_path, capsys):
     argv = ["nullcheck", "--kind", "bypass_atoms", "--config", cfg]
     assert main(argv + ["--out", str(out)]) == 4
     assert "click class is empty" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cycles_with_an_empty_class_are_skipped(tmp_path, capsys):

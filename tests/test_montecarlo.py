@@ -757,11 +757,19 @@ def test_class_sum_campaign_is_drawn_serially(run, shapes, cal, monkeypatch):
     campaign.close()
 
 
-def test_worker_error_surfaces(run, shapes, monkeypatch):
+def test_worker_error_surfaces(run, shapes, cal, monkeypatch):
+    """An error raised in a pool worker reaches the consumer."""
+    real, calls = montecarlo.simulate_cycle, itertools.count()
+
+    def fail_from_third(*args, **kwargs):
+        if next(calls) >= 2:
+            raise ConfigError("cycle failed in a worker")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate_cycle", fail_from_third)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    config = replace(run.shot, mean_photons=0.0, wobble_amplitude=0.01)
-    cal = calibrate_detection(0.5, 100.0, 0.0, 0.0)
-    with pytest.raises(ConfigError, match="wobble"):
+    config = replace(run.shot, shots_per_cycle=8)
+    with pytest.raises(ConfigError, match="in a worker"):
         list(run_campaign(0, 12, shapes, config, cal, traces=True))
 
 
@@ -806,11 +814,11 @@ def test_wobble_ripple_is_exact(run, shapes, cal, mode):
     assert np.array_equal(cyc.traces, expected)
 
 
-def test_wobble_needs_photons(run, shapes):
-    config = replace(run.shot, mean_photons=0.0, wobble_amplitude=0.01)
-    cal = calibrate_detection(0.5, 100.0, 0.0, 0.0)
-    with pytest.raises(ConfigError, match="wobble"):
-        simulate_cycle(np.random.default_rng(0), shapes, config, cal)
+def test_wobble_needs_photons(run):
+    """The ripple is scaled by n_ph / mu, so a wobble without photons is
+    refused where the shot is configured, not once per cycle."""
+    with pytest.raises(ConfigError, match="wobble injection needs mean_photons > 0"):
+        replace(run.shot, mean_photons=0.0, wobble_amplitude=0.01)
 
 
 def test_lowpass_matches_reference_recurrence(run, shapes, cal):
