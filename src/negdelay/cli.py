@@ -54,12 +54,8 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # the commonest cell of a mixed row
-        return float.__repr__(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -241,8 +237,9 @@ def _read_log(path: Path, run: RunConfig):
         yield meta, cycles()
 
 
-def _prepare(run: RunConfig):
-    """Per-photon shapes and the detection calibration of a campaign."""
+def _campaign(run: RunConfig, seed: int, **kwargs):
+    """Per-photon shapes and the campaign of ``seed`` drawn with them;
+    ``kwargs`` go to ``run_campaign``."""
     shapes = derive_shapes(run.medium, run.pulse, run.shot, n_atoms=run.n_atoms)
     cal = calibrate_detection(
         shapes.tbar,
@@ -250,7 +247,7 @@ def _prepare(run: RunConfig):
         run.shot.target_click_prob,
         run.shot.background_click_fraction,
     )
-    return shapes, cal
+    return shapes, run_campaign(seed, run.n_cycles, shapes, run.shot, cal, **kwargs)
 
 
 def _evaluate(medium, pulse, n_atoms: int):
@@ -306,15 +303,7 @@ def _cmd_theory(run: RunConfig, out: Path, args) -> int:
 
 
 def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
-    shapes, cal = _prepare(run)
-    cycles = run_campaign(
-        args.seed,
-        run.n_cycles,
-        shapes,
-        run.shot,
-        cal,
-        traces=True,
-    )
+    _, cycles = _campaign(run, args.seed, traces=True)
     _write_log(out / "shots.npz", run, args.seed, cycles, args.truth)
     return 0
 
@@ -382,15 +371,7 @@ def _cmd_analyze(run: RunConfig, out: Path, args) -> int:
 
 
 def _cmd_nullcheck(run: RunConfig, out: Path, args) -> int:
-    shapes, cal = _prepare(run)
-    cycles = run_campaign(
-        args.seed,
-        run.n_cycles,
-        shapes,
-        run.shot,
-        cal,
-        mode=args.kind,
-    )
+    shapes, cycles = _campaign(run, args.seed, mode=args.kind)
     return _analyze_cycles(run, shapes, cycles, out, args.seed, gate=True)
 
 
@@ -432,17 +413,15 @@ _COMMANDS = {
 }
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _seed(raw: str) -> int:
+    """argparse type of ``--seed``: an integer of at least 0."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
-    def parse(raw: str) -> int:
-        value = int(raw)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
 
-    parse.__name__ = "int"  # argparse names it in "invalid int value"
-    return parse
+_seed.__name__ = "int"  # argparse names it in "invalid int value"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -456,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--out", required=True, help="output directory")
         if name in ("simulate", "nullcheck"):
-            p.add_argument("--seed", type=_at_least(0), default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if name == "simulate":
             p.add_argument(
                 "--truth",

@@ -120,10 +120,9 @@ def phi0_trace(sig: SampledSignal, medium: MediumSpec) -> np.ndarray:
     # t): rfft bin m sits at delta = -w_m
     delta = -2.0 * np.pi * np.fft.rfftfreq(sig.n, d=sig.dt)
     kernel = (np.sqrt(medium.gamma) / 2.0) / (medium.gamma / 2.0 - 1j * delta)
-    # every factor is Hermitian in delta, so each part of the field drives
-    # real layer amplitudes of its own: |c|^2 sums over the two parts
-    parts = np.stack((sig.samples.real, sig.samples.imag))
-    base = np.fft.rfft(parts[parts.any(axis=1)], axis=-1) * kernel
+    # every factor is Hermitian in delta: each part of the field drives
+    # real layer amplitudes of its own, and |c|^2 sums over the parts
+    base = np.fft.rfft(sig.parts(), axis=-1) * kernel
     x, w = _DEPTH_RULE
     half = medium.od / 2.0
     ne = np.zeros(sig.n)

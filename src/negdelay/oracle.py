@@ -66,18 +66,18 @@ lengths at about the same cost per point, so a 13,065-point need takes a
 Every coefficient is real but q = -i s, s = sin(th) hd: c = cos(th), p
 and q^2 = -s^2 are real, so H(z) is a real filter, the state filter is
 -i times the real filter s z^-1 / (1 - p z^-1) and the adjoint filter +i
-times s / (1 - p z^-1). A real filter never mixes the real and imaginary
-parts of its input, so the chain runs on each part of the input field
-alone, as a real sequence: the factor i of the imaginary part cancels in
-every product below. Driven by a real sequence, the transmitted bins are
-real, emitter k's state is -i u_k and its adjoint state +i v_k with u_k
-and v_k real, and Re(+i v_k conj(-i u_k)) = -u_k v_k. A part therefore
-adds sum_k u_k^2 to N_e, -sum_k u_k v_k (adjoint time-reversed) to the
-unnormalised W and its transmitted norm to ||P_f psi(t_f)||^2; the parts
-are summed and W normalised once. Each part runs on half-length spectra
-with numpy's rfft / irfft, and each emitter's state and adjoint spectra
-are the two rows of one inverse transform. A pulse on carrier resonance
-is real and takes one pass; a detuned pulse takes two.
+times s / (1 - p z^-1). So the chain runs on each part of the input
+field alone (``SampledSignal.parts``), as a real sequence: the factor i
+of the imaginary part cancels in every product below. Driven by a real
+sequence, the transmitted bins are real, emitter k's state is -i u_k and
+its adjoint state +i v_k with u_k and v_k real, and
+Re(+i v_k conj(-i u_k)) = -u_k v_k. A part therefore adds sum_k u_k^2
+to N_e, -sum_k u_k v_k (adjoint time-reversed) to the unnormalised W and
+its transmitted norm to ||P_f psi(t_f)||^2; the parts are summed and W
+normalised once. Each part runs on half-length spectra with numpy's
+rfft / irfft, and each emitter's state and adjoint spectra are the two
+rows of one inverse transform. A pulse on carrier resonance is real and
+takes one pass; a detuned pulse takes two.
 """
 
 from __future__ import annotations
@@ -221,9 +221,7 @@ def weak_excitation_trace(
     fa, fb = spec
     out = np.empty((2, size))
     work = np.empty(n)
-    for part in (sig.samples.real, sig.samples.imag):
-        if not part.any():
-            continue
+    for part in sig.parts():
         np.fft.rfft(part, size, out=fb)
         fb *= np.sqrt(sig.dt)  # chain input: one bin holds E(t_j) sqrt(dt)
         np.multiply(h, fb, out=fa)  # emitter 0's state

@@ -74,6 +74,17 @@ class SampledSignal:
         """Sample times, seconds."""
         return self.t0 + self.dt * np.arange(self.n)
 
+    def parts(self) -> np.ndarray:
+        """The real and imaginary parts of the field that are not all
+        zero, as rows: one row for a pulse on carrier resonance.
+
+        Every filter of the medium has real coefficients, so it never
+        mixes the two parts: a route may run each part alone, as a real
+        sequence, and sum over the parts what is quadratic in the field.
+        """
+        parts = np.stack((self.samples.real, self.samples.imag))
+        return parts[parts.any(axis=1)]
+
 
 LEAD_SIGMAS = 9.0
 TAIL_LIFETIMES = 15.0

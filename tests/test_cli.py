@@ -321,10 +321,7 @@ def test_log_of_another_cycle_count_exits_2(tmp_path, capsys):
     cfg = _cfg(tmp_path, TINY)
     run = load_config(cfg)
     short = replace(run, n_cycles=3)
-    shapes, cal = negdelay.cli._prepare(short)
-    cycles = run_campaign(
-        5, short.n_cycles, shapes, short.shot, cal, traces=True
-    )
+    _, cycles = negdelay.cli._campaign(short, 5, traces=True)
     log = tmp_path / "short.npz"
     negdelay.cli._write_log(log, short, 5, cycles, False)
     with zipfile.ZipFile(log) as zf:
@@ -511,8 +508,7 @@ def test_analyze_of_log_matches_in_memory_campaign(tmp_path):
     log = str(sim / "shots.npz")
     assert main(["analyze", "--config", cfg, "--log", log, "--out", str(res)]) == 0
     run = load_config(cfg)
-    shapes, cal = negdelay.cli._prepare(run)
-    ref = accumulate(run_campaign(8, run.n_cycles, shapes, run.shot, cal))
+    ref = accumulate(negdelay.cli._campaign(run, 8)[1])
     t_ns, phi_urad, sigma_urad = np.loadtxt(
         res / "phiT_measured.csv", delimiter=",", skiprows=3, unpack=True
     )
@@ -827,8 +823,7 @@ def test_cycles_with_an_empty_class_are_skipped(tmp_path, capsys):
     log = str(sim / "shots.npz")
     assert main(["analyze", "--config", rare, "--log", log, "--out", str(res)]) == 0
     run = load_config(rare)
-    shapes, cal = negdelay.cli._prepare(run)
-    ref = accumulate(run_campaign(3, run.n_cycles, shapes, run.shot, cal))
+    ref = accumulate(negdelay.cli._campaign(run, 3)[1])
     assert ref.n_skipped > 0
     assert capsys.readouterr().err == note.format(ref.n_skipped)
     row = (res / "ratio.csv").read_text().splitlines()[3].split(",")

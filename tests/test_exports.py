@@ -1,8 +1,8 @@
 """Public surface: every ``__all__`` entry resolves and has a caller in
 the CLI pipeline or the acceptance gate, names and fields that were
 removed from the package stay removed, ``pulse`` imports nothing from
-``medium`` and alone holds the grid policy, and no module imports a
-name it never uses."""
+``medium`` and alone holds the grid policy and the split of the field
+into its real parts, and no module imports a name it never uses."""
 
 import ast
 import dataclasses
@@ -262,3 +262,18 @@ def test_no_module_imports_an_unused_name():
                     if bound not in used:
                         unused.append(f"{path.stem}: {bound}")
     assert unused == []
+
+
+def test_only_pulse_splits_the_field():
+    # SampledSignal.parts splits the field into its real parts; each
+    # route transforms what it returns
+    strays = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "pulse"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("real", "imag")
+        and getattr(node.value, "attr", None) == "samples"
+    ]
+    assert strays == []
