@@ -164,7 +164,10 @@ def accumulate(cycles, keep_differences: bool = False):
 
 
 def integration_window(theory_trace: np.ndarray, fraction: float) -> tuple[int, int]:
-    """Outermost crossings of fraction * max|trace|, inclusive indices."""
+    """Outermost crossings of fraction * max|trace|, inclusive indices.
+
+    The window moves in whole bins: on the default 16 ns shot bins every
+    fraction in (0.116, 0.385] gives the same window of phi_T1."""
     if not 0.0 <= fraction < 1.0:
         raise AnalysisError("window fraction must lie in [0, 1)")
     mag = np.abs(np.asarray(theory_trace, dtype=np.float64))

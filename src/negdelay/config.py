@@ -1,14 +1,15 @@
 """Flat key-value run configuration.
 
 Files are plain text, one ``section.key = value`` per line, ``#`` starts
-a comment. Units ride in the key names (_ns, _MHz, _mrad, _urad); values are
-converted to SI (seconds, angular rad/s, radians) on load, and every
-number, list entries included, must be finite. Every key has
-a default mirroring the experiment's standing constants, so an empty file
-is a valid configuration. The linewidth is ``medium.gamma_MHz`` (gamma /
-2 pi; the default is a 26 ns lifetime). The config hash covers the parsed
-key values with defaults filled in. The random seed is not a key: it is
-the ``--seed`` flag of the commands that draw shots.
+a comment. Units ride in the key names (_ns, _MHz, _mrad, _urad); values
+are converted to SI (seconds, angular rad/s, radians) on load, and every
+number, list entries included, must be finite as written and once
+converted. Every key has a default mirroring the experiment's standing
+constants, so an empty file is a valid configuration. The linewidth is
+``medium.gamma_MHz`` (gamma / 2 pi; the default is a 26 ns lifetime).
+The config hash covers the parsed key values with defaults filled in.
+The random seed is not a key: it is the ``--seed`` flag of the commands
+that draw shots.
 """
 
 from __future__ import annotations
@@ -124,15 +125,22 @@ def parse_config(text: str) -> RunConfig:
     vals = {k: default for k, (_, default) in _SCHEMA.items()}
     vals.update(given)
 
+    def mhz(key: str, angular: bool = True) -> float:
+        """The key in rad/s, or Hz if not ``angular``; MHz can overflow."""
+        value = (_TWO_PI * vals[key] if angular else vals[key]) * 1e6
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r}: must be finite in SI units, got {vals[key]}")
+        return value
+
     medium = MediumSpec(
         od=vals["medium.od"],
-        gamma=_TWO_PI * vals["medium.gamma_MHz"] * 1e6,
-        probe_detuning=_TWO_PI * vals["medium.probe_detuning_MHz"] * 1e6,
+        gamma=mhz("medium.gamma_MHz"),
+        probe_detuning=mhz("medium.probe_detuning_MHz"),
         sigma0_over_area=vals["medium.sigma0_over_area"],
     )
     pulse = PulseSpec(
         sigma_rms=vals["pulse.sigma_rms_ns"] * 1e-9,
-        center_detuning=_TWO_PI * vals["pulse.center_detuning_MHz"] * 1e6,
+        center_detuning=mhz("pulse.center_detuning_MHz"),
     )
     shot = ShotConfig(
         n_samples=vals["shot.n_samples"],
@@ -142,11 +150,11 @@ def parse_config(text: str) -> RunConfig:
         phase_noise_rms=vals["shot.phase_noise_mrad"] * 1e-3,
         background_click_fraction=vals["shot.background_click_fraction"],
         lowpass_enabled=vals["shot.lowpass_enabled"],
-        lowpass_cutoff=vals["shot.lowpass_cutoff_MHz"] * 1e6,
+        lowpass_cutoff=mhz("shot.lowpass_cutoff_MHz", angular=False),
         shots_per_cycle=vals["shot.shots_per_cycle"],
         pulse_center=vals["shot.pulse_center_ns"] * 1e-9,
         wobble_amplitude=vals["shot.wobble_amplitude_urad"] * 1e-6,
-        wobble_frequency=vals["shot.wobble_frequency_MHz"] * 1e6,
+        wobble_frequency=mhz("shot.wobble_frequency_MHz", angular=False),
         wobble_phase=vals["shot.wobble_phase_rad"],
     )
     if vals["campaign.n_cycles"] < 2:

@@ -19,8 +19,8 @@ class ConfigError(NegdelayError):
 
 
 class ConvergenceError(NegdelayError):
-    """The collision model has no emitter, a per-emitter depth past
-    ``oracle.MAX_OD_PER_ATOM`` or a vanished post-selection norm."""
+    """The collision model has no emitter or a per-emitter depth past
+    ``oracle.MAX_OD_PER_ATOM``, or a route's post-selection norm is 0."""
 
     exit_code = 3
 

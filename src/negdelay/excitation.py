@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .medium import MediumSpec, conversion_factor, group_delay, transfer_function
 from .pulse import SampledSignal
 
@@ -95,7 +95,8 @@ def spectral_report(sig: SampledSignal, medium: MediumSpec) -> ExcitationReport:
     """T, tau_0 and tau_T (seconds) from one transform of the pulse.
 
     T tends to exp(-od) in the narrowband limit; all three are invariant
-    under time shifts of the input.
+    under time shifts of the input. Raises ConvergenceError when no power
+    is transmitted, which leaves tau_T without a norm.
     """
     delta = 2.0 * np.pi * np.fft.fftfreq(sig.n, d=sig.dt)
     spectrum = np.fft.ifft(sig.samples)
@@ -104,8 +105,11 @@ def spectral_report(sig: SampledSignal, medium: MediumSpec) -> ExcitationReport:
     tbar = float(np.sum(w * np.abs(t) ** 2) / np.sum(w))
     tau0 = (1.0 - tbar) / medium.gamma
     w_out = np.abs(spectrum * t) ** 2
+    norm = np.sum(w_out)
+    if norm == 0.0:
+        raise ConvergenceError("no power is transmitted: tau_T is undefined")
     tg = group_delay(delta, medium.od, medium.gamma)
-    tauT = float(np.sum(w_out * tg) / np.sum(w_out))
+    tauT = float(np.sum(w_out * tg) / norm)
     return ExcitationReport(transmission=tbar, tau_0=tau0, tau_T=tauT)
 
 

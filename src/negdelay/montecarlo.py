@@ -76,6 +76,10 @@ MODES = ("normal", "no_atoms", "bypass_atoms", "no_signal")
 #: most float64 values in a cycle array (n_samples^2 covariance, shots x
 #: n_samples traces): 32 MiB, 78x the default cycle; a typo could ask for GB
 MAX_CYCLE_ELEMENTS = 1 << 22
+#: most mean photons per shot: numpy's Generator.poisson refuses means
+#: above about 9.2e18, and n_T + n_S must stay an int64; a real pulse
+#: holds about 100
+MAX_MEAN_PHOTONS = 1e15
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,8 @@ class ShotConfig:
     def __post_init__(self):
         if self.n_samples < 1 or self.dt <= 0.0:
             raise ConfigError("need n_samples >= 1 and dt > 0")
-        if self.mean_photons < 0.0:
-            raise ConfigError("mean_photons must be non-negative")
+        if not 0.0 <= self.mean_photons <= MAX_MEAN_PHOTONS:
+            raise ConfigError(f"mean_photons must lie in [0, {MAX_MEAN_PHOTONS:g}]")
         if self.wobble_amplitude != 0.0 and self.mean_photons == 0.0:
             raise ConfigError("wobble injection needs mean_photons > 0")
         if not 0.0 <= self.target_click_prob < 1.0:

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,8 @@ TINY = (
     "shot.shots_per_cycle = 60\n"
     "campaign.n_cycles = 6\n"
 )
+#: the per-shot phase rows take the wobble and the low-pass in turn
+INJECTED = TINY + "shot.wobble_amplitude_urad = 100\nshot.lowpass_enabled = true\n"
 
 
 def _cfg(tmp_path, text="", name="run.cfg"):
@@ -122,16 +128,44 @@ def test_simulate_analyze_chain(tmp_path):
 
 def test_simulate_is_byte_deterministic(tmp_path, monkeypatch):
     """The shot log does not depend on the thread count: one usable CPU
-    draws the cycles serially, four draw them on four threads."""
-    cfg = _cfg(tmp_path, TINY)
-    logs = []
-    for cpus in (1, 4):
-        monkeypatch.setattr(negdelay.montecarlo, "_usable_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
-        argv = ["simulate", "--config", cfg, "--out", str(out), "--truth"]
-        assert main(argv) == 0
-        logs.append((out / "shots.npz").read_bytes())
-    assert logs[0] == logs[1]
+    draws the cycles serially, four draw them on four threads, with and
+    without the wobble and the low-pass."""
+    for name, text in (("tiny", TINY), ("injected", INJECTED)):
+        cfg = _cfg(tmp_path, text, f"{name}.cfg")
+        logs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(negdelay.montecarlo, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"{name}-cpus{cpus}"
+            argv = ["simulate", "--config", cfg, "--out", str(out), "--truth"]
+            assert main(argv) == 0
+            logs.append((out / "shots.npz").read_bytes())
+        assert logs[0] == logs[1], name
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        # a cloud of od 20 needs more emitters than the default 64
+        ("theory", "medium.od = 20\noracle.n_atoms = 128\n"),
+        # collision-model frames of radix 5, 2 and 3 (15000, 9216 and
+        # 11520 points)
+        ("sweep", "sweep.sigma_rms_ns = 5, 36, 150\n"),
+        # a detuned carrier makes the field complex: both routes run its
+        # real and imaginary parts apart
+        ("theory", "pulse.center_detuning_MHz = 1.5\n"),
+        ("sweep", "pulse.center_detuning_MHz = 1.5\n"),
+    ],
+    ids=["theory-od20", "sweep-radix", "theory-detuned", "sweep-detuned"],
+)
+def test_repeat_runs_write_the_same_bytes(tmp_path, command, text):
+    """Two runs of one config write the same bytes, on paths that the
+    default config does not take."""
+    cfg = _cfg(tmp_path, text)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    files = [{f.name: f.read_bytes() for f in out.iterdir()} for out in outs]
+    assert files[0] and files[0] == files[1]
 
 
 def _reference_log(cfg, seed, truth):
@@ -706,8 +740,12 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
             "must be finite",
             id="inf-must be finite",
         ),
+        # finite as written, but not once converted to rad/s
         pytest.param(
-            "1e305", "error: linewidth", "must be finite", id="1e305-must be finite"
+            "1e305",
+            "error: key 'medium.gamma_MHz'",
+            "must be finite",
+            id="1e305-must be finite",
         ),
     ],
 )
@@ -722,6 +760,9 @@ def test_unbounded_linewidth_exits_2(tmp_path, capsys, gamma_mhz, start, msg):
     assert err.startswith(start) and msg in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+FAST_WOBBLE = "shot.wobble_amplitude_urad = 100\nshot.wobble_frequency_MHz = 1e308\n"
 
 
 @pytest.mark.parametrize(
@@ -741,17 +782,64 @@ def test_unbounded_linewidth_exits_2(tmp_path, capsys, gamma_mhz, start, msg):
             "needs background clicks",
         ),
         (["analyze", "--log", "absent.npz"], "", "cannot read shot log"),
+        # the parser refuses these before any command runs
+        (
+            ["nullcheck", "--kind", "bypass_atoms"],
+            "shot.mean_photons = nan\n",
+            "key 'shot.mean_photons': must be finite",
+        ),
+        (["simulate"], "shot.n_samples = 100000\n", "n_samples 100000"),
+        # finite as written, but not once converted to rad/s or Hz
+        (["theory"], "pulse.center_detuning_MHz = 1e308\n", "center_detuning_MHz"),
+        (["sweep"], "pulse.center_detuning_MHz = 1e308\n", "center_detuning_MHz"),
+        (["theory"], "medium.probe_detuning_MHz = 1e308\n", "probe_detuning_MHz"),
+        (["simulate"], FAST_WOBBLE, "wobble_frequency_MHz"),
+        (["nullcheck", "--kind", "bypass_atoms"], FAST_WOBBLE, "wobble_frequency_MHz"),
+        # past numpy's Poisson limit
+        (["simulate"], "shot.mean_photons = 1e30\n", "mean_photons must lie in"),
+        (
+            ["nullcheck", "--kind", "bypass_atoms"],
+            "shot.mean_photons = 1e30\n",
+            "mean_photons must lie in",
+        ),
     ],
-    ids=["theory", "sweep", "simulate", "nullcheck", "analyze"],
+    ids=[
+        "theory",
+        "sweep",
+        "simulate",
+        "nullcheck",
+        "analyze",
+        "nullcheck-nan",
+        "simulate-n_samples",
+        "theory-center",
+        "sweep-center",
+        "theory-probe",
+        "simulate-wobble",
+        "nullcheck-wobble",
+        "simulate-photons",
+        "nullcheck-photons",
+    ],
 )
 def test_refused_run_leaves_no_out(tmp_path, capsys, monkeypatch, argv, text, msg):
-    """--out is created at the first write, so a command refused after
-    its config loads, before it writes, leaves no output directory."""
+    """--out is created at the first write, so a command refused before
+    it writes, as its config loads or after, leaves no output directory."""
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "x"
     cfg = _cfg(tmp_path, TINY + text)
     assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
     assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("theory", "medium.od"), ("sweep", "sweep.od")])
+def test_cloud_that_transmits_nothing_exits_3(tmp_path, capsys, command, key):
+    """At a depth of 1e308 no power is transmitted and tau_T has no norm:
+    the run exits 3 before any output, without dividing 0 by 0."""
+    out = tmp_path / "x"
+    cfg = _cfg(tmp_path, f"{key} = 1e308\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: no power is transmitted: tau_T is undefined\n"
     assert not out.exists()
 
 
@@ -784,6 +872,35 @@ def test_error_types_carry_their_exit_codes(
     assert error.exit_code == code
     assert main(["theory", "--out", str(tmp_path / "x")]) == code
     assert capsys.readouterr().err == "error: stub failure\n"
+
+
+def test_module_entry_point_returns_the_exit_code(tmp_path):
+    """``python -m negdelay.cli`` hands main's exit code to the shell: 0
+    for a run, 2 for a grid that cannot be built, 3 for a cloud too deep
+    for 64 emitters, each refusal with its error on stderr and no --out.
+    The interpreter runs under the suite's warning filter."""
+    src = str(Path(negdelay.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for code, text in (
+        (0, ""),
+        (2, "medium.gamma_MHz = 1e-12\n"),
+        (3, "medium.od = 20\n"),
+    ):
+        cfg, out = _cfg(tmp_path, text, f"{code}.cfg"), tmp_path / f"out{code}"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "negdelay.cli", "theory"]
+            + ["--config", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stderr.startswith("error: "), proc.stderr
+            assert not out.exists()
+        else:
+            assert proc.stderr == ""
+            assert (out / "summary.csv").stat().st_size > 0
 
 
 def test_convergence_failure_exits_3(tmp_path, capsys):

@@ -160,6 +160,8 @@ def test_comments_and_blank_lines():
         ("campaign.seed = 3", "line 1: unknown key"),
         # the oracle keeps no checkpoints: the key changed only the hash
         ("oracle.checkpoint_interval = 64", "line 1: unknown key"),
+        # the depth integral has fixed nodes, not a slab count
+        ("medium.n_slabs = 128", "line 1: unknown key"),
     ],
 )
 def test_parse_diagnostics(text, msg):
@@ -181,6 +183,15 @@ def test_parse_diagnostics(text, msg):
 def test_value_validation(text, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key", [key for key in _SCHEMA if key.endswith("_MHz")])
+def test_converted_values_must_be_finite(key):
+    """A finite number of MHz can overflow to inf on its way to rad/s or
+    Hz; the parser refuses it, naming the key."""
+    msg = f"^key '{key}': must be finite in SI units, got 1e\\+308$"
+    with pytest.raises(ConfigError, match=msg):
+        parse_config(f"{key} = 1e308\n")
 
 
 def test_sweep_lists():
