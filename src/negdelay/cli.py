@@ -33,7 +33,7 @@ from .analysis import (
     integration_window,
     ratio_estimate,
 )
-from .errors import ConfigError, NegdelayError
+from .errors import AnalysisError, ConfigError, NegdelayError
 from .excitation import phi0_trace, spectral_report
 from .medium import conversion_factor
 from .montecarlo import (
@@ -311,19 +311,25 @@ def _cmd_simulate(run: RunConfig, out: Path, args) -> int:
 def _analyze_cycles(
     run: RunConfig, shapes, cycles, out: Path, seed, gate: bool
 ) -> int:
+    window = integration_window(shapes.phi_T1, run.window_fraction)
+    centers = run.shot.sample_times() * 1e9
+    if window[0] == window[1]:
+        # a one-sample trapezoid has zero width: the ratio would read 0 +- 0
+        raise AnalysisError(
+            f"the integration window is one bin, at {centers[window[0]]:g} ns: "
+            "narrow shot.dt_ns or lower analysis.window_fraction"
+        )
     result = accumulate(cycles)
+    integral = integral_with_error(
+        result.phi_T, result.cov, window, run.shot.dt
+    )
+    ratio, sigma = ratio_estimate(integral, shapes.phi_01, run.shot.dt)
     if result.n_skipped:
         print(
             f"note: skipped {result.n_skipped} of {run.n_cycles} cycles with "
             "an empty click or no-click class",
             file=sys.stderr,
         )
-    window = integration_window(shapes.phi_T1, run.window_fraction)
-    integral = integral_with_error(
-        result.phi_T, result.cov, window, run.shot.dt
-    )
-    ratio, sigma = ratio_estimate(integral, shapes.phi_01, run.shot.dt)
-    centers = run.shot.sample_times() * 1e9
     _write_csv(
         out / "phiT_measured.csv",
         run,

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .medium import MediumSpec
 from .montecarlo import ShotConfig
@@ -157,6 +159,24 @@ def parse_config(text: str) -> RunConfig:
         wobble_frequency=mhz("shot.wobble_frequency_MHz", angular=False),
         wobble_phase=vals["shot.wobble_phase_rad"],
     )
+    # outputs write the window's bin times in ns: its end must be finite there
+    if not math.isfinite(vals["shot.n_samples"] * vals["shot.dt_ns"]):
+        raise ConfigError("key 'shot.dt_ns': the window's end overflows in ns")
+    # a pulse center far from the window swamps the bin width: the bin
+    # edges on the pulse's time axis would round onto each other
+    if not (np.diff(shot.bin_edges()) > 0.0).all():
+        raise ConfigError(
+            f"key 'shot.pulse_center_ns': {vals['shot.pulse_center_ns']:g} ns "
+            f"leaves no room for bins of shot.dt_ns {vals['shot.dt_ns']:g}"
+        )
+    # a probe phase wraps at 2 pi: noise or a ripple past pi rad is no
+    # small phase, and far past it its square overflows the covariance
+    for key, rad in (
+        ("shot.phase_noise_mrad", shot.phase_noise_rms),
+        ("shot.wobble_amplitude_urad", shot.wobble_amplitude),
+    ):
+        if not abs(rad) <= math.pi:
+            raise ConfigError(f"key {key!r}: must be at most pi rad, got {vals[key]:g}")
     if vals["campaign.n_cycles"] < 2:
         # the click/no-click covariance needs two cycles
         raise ConfigError("campaign.n_cycles must be at least 2")

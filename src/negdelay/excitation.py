@@ -6,12 +6,13 @@ Spectra follow the transform convention
     E~(delta) = integral E(t) exp(+i delta t) dt
     E(t)      = integral E~(delta) exp(-i delta t) ddelta / (2 pi)
 
-realized as an FFT pair on the pulse grid: ``np.fft.ifft`` carries
-exp(+i delta t), so its bin k sits at delta_k = 2 pi f_k with f_k from
-``np.fft.fftfreq``. Propagation through the medium multiplies the
-spectrum by the transfer function t(delta). Every observable here works
-with grid-relative phases, so the absolute grid origin only matters
-when comparing traces between grids.
+realized by numpy's real FFTs on each part of the field
+(``SampledSignal.parts``): ``np.fft.rfft`` carries exp(-i w t), so its
+bin m sits at delta_m = -2 pi f_m with f_m from ``np.fft.rfftfreq``.
+Propagation through the medium multiplies the spectrum by the transfer
+function t(delta). Every observable here works with grid-relative
+phases, so the absolute grid origin only matters when comparing traces
+between grids.
 
 A layer of the cloud at cumulative optical depth z sees the field
 filtered by the medium in front of it, and its excitation amplitude
@@ -98,16 +99,19 @@ def spectral_report(sig: SampledSignal, medium: MediumSpec) -> ExcitationReport:
     under time shifts of the input. Raises ConvergenceError when no power
     is transmitted, which leaves tau_T without a norm.
     """
-    delta = 2.0 * np.pi * np.fft.fftfreq(sig.n, d=sig.dt)
-    spectrum = np.fft.ifft(sig.samples)
-    t = transfer_function(delta, medium.od, medium.gamma)
-    w = np.abs(spectrum) ** 2
-    tbar = float(np.sum(w * np.abs(t) ** 2) / np.sum(w))
-    tau0 = (1.0 - tbar) / medium.gamma
-    w_out = np.abs(spectrum * t) ** 2
+    delta = -2.0 * np.pi * np.fft.rfftfreq(sig.n, d=sig.dt)
+    # |t|^2 and tau_g are even in delta and each part's spectrum is
+    # Hermitian, so the parts' cross term cancels between delta and
+    # -delta: the half spectrum, summed over the parts, with each bin but
+    # DC (and Nyquist, for even n) counted twice, sums the whole
+    w = np.sum(np.abs(np.fft.rfft(sig.parts, axis=-1)) ** 2, axis=0)
+    w[1 : (sig.n + 1) // 2] *= 2.0
+    w_out = w * np.abs(transfer_function(delta, medium.od, medium.gamma)) ** 2
     norm = np.sum(w_out)
     if norm == 0.0:
         raise ConvergenceError("no power is transmitted: tau_T is undefined")
+    tbar = float(norm / np.sum(w))
+    tau0 = (1.0 - tbar) / medium.gamma
     tg = group_delay(delta, medium.od, medium.gamma)
     tauT = float(np.sum(w_out * tg) / norm)
     return ExcitationReport(transmission=tbar, tau_0=tau0, tau_T=tauT)
@@ -120,13 +124,11 @@ def phi0_trace(sig: SampledSignal, medium: MediumSpec) -> np.ndarray:
     Raises ConfigError when N_e leaves [0, 1]: a field normalized to one
     photon cannot excite more than one atom.
     """
-    # numpy's forward transform carries exp(-i w t), the model exp(+i delta
-    # t): rfft bin m sits at delta = -w_m
     delta = -2.0 * np.pi * np.fft.rfftfreq(sig.n, d=sig.dt)
     kernel = (np.sqrt(medium.gamma) / 2.0) / (medium.gamma / 2.0 - 1j * delta)
     # every factor is Hermitian in delta: each part of the field drives
     # real layer amplitudes of its own, and |c|^2 sums over the parts
-    base = np.fft.rfft(sig.parts(), axis=-1) * kernel
+    base = np.fft.rfft(sig.parts, axis=-1) * kernel
     x, w = _DEPTH_RULE
     half = medium.od / 2.0
     ne = np.zeros(sig.n)

@@ -131,6 +131,11 @@ class ShotConfig:
         """Bin centers of the acquisition window, seconds."""
         return (np.arange(self.n_samples) + 0.5) * self.dt
 
+    def bin_edges(self) -> np.ndarray:
+        """Bin edges of the acquisition window on the pulse's time axis,
+        which puts the pulse peak at t = 0, seconds."""
+        return np.arange(self.n_samples + 1) * self.dt - self.pulse_center
+
 
 @dataclass(frozen=True)
 class CycleData:
@@ -223,10 +228,7 @@ def derive_shapes(
     phi_0_fine = phi0_trace(sig, medium)
     tbar = spectral_report(sig, medium).transmission
 
-    # detection-window bin edges expressed on the pulse time axis
-    edges = (
-        np.arange(config.n_samples + 1) * config.dt - config.pulse_center
-    )
+    edges = config.bin_edges()
     phi_t1 = bin_average(phi_t_fine, weak.dt, weak.t0, edges)
     phi_01 = bin_average(phi_0_fine, sig.dt, sig.t0, edges)
     return PerPhotonShapes(phi_t1, phi_01, tbar)

@@ -221,7 +221,7 @@ def weak_excitation_trace(
     fa, fb = spec
     out = np.empty((2, size))
     work = np.empty(n)
-    for part in sig.parts():
+    for part in sig.parts:
         np.fft.rfft(part, size, out=fb)
         fb *= np.sqrt(sig.dt)  # chain input: one bin holds E(t_j) sqrt(dt)
         np.multiply(h, fb, out=fa)  # emitter 0's state
@@ -253,7 +253,7 @@ def weak_excitation_trace(
     if dnorm <= 0.0:
         raise ConvergenceError("post-selection norm vanished")
     weak /= -dnorm  # Re(+i v conj(-i u)) = -u v
-    norm_in = sig.dt * float(np.vdot(sig.samples, sig.samples).real)
+    norm_in = sig.dt * float(np.vdot(sig.parts, sig.parts))
     return WeakTrace(
         dt=sig.dt,
         t0=sig.t0 - 0.5 * sig.dt,

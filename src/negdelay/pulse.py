@@ -1,9 +1,9 @@
 """Sampled Gaussian pulses on uniform time grids.
 
 Fields are complex envelopes E(t) on a uniform grid, normalized so that
-sum(|E|^2) * dt = 1 (one photon's worth of probability per pulse). Their
-spectra and propagation through the medium live in
-``negdelay.excitation``.
+sum(|E|^2) * dt = 1 (one photon's worth of probability per pulse), and
+stored as their real and imaginary parts. Their spectra and propagation
+through the medium live in ``negdelay.excitation``.
 
 Duration convention: ``sigma_rms`` is the rms width of the *intensity*
 profile, so the field envelope is exp(-t^2 / (4 sigma^2)) and the spectral
@@ -46,44 +46,36 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Uniformly sampled complex field on a time grid.
+    """Uniformly sampled field on a time grid, split into its real parts.
 
     ``dt`` is the sample step and ``t0`` the first sample time, seconds.
-    It holds at least two samples; any length suits the FFTs.
+    ``parts`` holds the real and imaginary parts of the field that are not
+    all zero, as rows: one row for a pulse on carrier resonance. Every
+    filter of the medium has real coefficients, so it never mixes the two
+    parts: each route runs each part alone, as a real sequence, and sums
+    over the parts what is quadratic in the field. A row holds at least
+    two samples; any length suits the FFTs.
     """
 
     dt: float
     t0: float
-    samples: np.ndarray = field(repr=False)
+    parts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ConfigError(f"sample step must be > 0, got {self.dt}")
-        n = len(self.samples)
-        if n < 2:
-            raise ConfigError(f"sample count must be >= 2, got {n}")
-        object.__setattr__(
-            self, "samples", np.ascontiguousarray(self.samples, dtype=np.complex128)
-        )
+        parts = np.ascontiguousarray(np.atleast_2d(self.parts), dtype=np.float64)
+        if parts.shape[1] < 2:
+            raise ConfigError(f"sample count must be >= 2, got {parts.shape[1]}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return self.parts.shape[1]
 
     def axis(self) -> np.ndarray:
         """Sample times, seconds."""
         return self.t0 + self.dt * np.arange(self.n)
-
-    def parts(self) -> np.ndarray:
-        """The real and imaginary parts of the field that are not all
-        zero, as rows: one row for a pulse on carrier resonance.
-
-        Every filter of the medium has real coefficients, so it never
-        mixes the two parts: a route may run each part alone, as a real
-        sequence, and sum over the parts what is quadratic in the field.
-        """
-        parts = np.stack((self.samples.real, self.samples.imag))
-        return parts[parts.any(axis=1)]
 
 
 LEAD_SIGMAS = 9.0
@@ -139,5 +131,7 @@ def gaussian_field(
             f"{n}-sample grid is too coarse to sample the pulse: an edge "
             "sample holds more than 1e-8 of the largest sample"
         )
-    env /= np.sqrt(np.sum(np.abs(env) ** 2) * dt)
-    return SampledSignal(dt=dt, t0=t_lo, samples=env)
+    # a complex divide by a real multiplies each part by the reciprocal
+    scale = 1.0 / np.sqrt(np.sum(np.abs(env) ** 2) * dt)
+    parts = np.stack((env.real, env.imag)) * scale
+    return SampledSignal(dt=dt, t0=t_lo, parts=parts[parts.any(axis=1)])

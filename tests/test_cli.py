@@ -802,6 +802,18 @@ FAST_WOBBLE = "shot.wobble_amplitude_urad = 100\nshot.wobble_frequency_MHz = 1e3
             "shot.mean_photons = 1e30\n",
             "mean_photons must lie in",
         ),
+        # shot values whose window times overflow in ns, whose bin edges
+        # round onto each other, or whose phases overflow the covariance
+        *(
+            (argv, f"{key} = 1e308\n", f"key '{key}'")
+            for key in (
+                "shot.dt_ns",
+                "shot.pulse_center_ns",
+                "shot.phase_noise_mrad",
+                "shot.wobble_amplitude_urad",
+            )
+            for argv in (["simulate"], ["nullcheck", "--kind", "bypass_atoms"])
+        ),
     ],
     ids=[
         "theory",
@@ -818,6 +830,11 @@ FAST_WOBBLE = "shot.wobble_amplitude_urad = 100\nshot.wobble_frequency_MHz = 1e3
         "nullcheck-wobble",
         "simulate-photons",
         "nullcheck-photons",
+        *(
+            f"{command}-{key}"
+            for key in ("dt", "center", "noise", "wobble-amplitude")
+            for command in ("simulate", "nullcheck")
+        ),
     ],
 )
 def test_refused_run_leaves_no_out(tmp_path, capsys, monkeypatch, argv, text, msg):
@@ -918,6 +935,26 @@ def test_empty_click_class_exits_4(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 4
     assert "click class is empty" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dt_ns", ["200", "2000"])
+def test_one_bin_window_exits_4(tmp_path, capsys, dt_ns):
+    """Bins wider than the phi_T1 peak leave a one-bin window, where a
+    one-sample trapezoid has zero width: the run is refused, not written
+    as 0 +- 0, by nullcheck and by analyze of a log."""
+    cfg = _cfg(tmp_path, TINY + f"shot.dt_ns = {dt_ns}\n")
+    sim, out = tmp_path / "sim", tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--seed", "11", "--out", str(sim)]) == 0
+    log = str(sim / "shots.npz")
+    for argv in (
+        ["nullcheck", "--kind", "bypass_atoms", "--seed", "11"],
+        ["analyze", "--log", log],
+    ):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: the integration window is one bin"
+        )
+        assert not out.exists()
 
 
 def test_cycles_with_an_empty_class_are_skipped(tmp_path, capsys):

@@ -230,6 +230,23 @@ def test_unit_conversions():
     assert run.pulse.center_detuning == pytest.approx(TWO_PI * 3e6, rel=1e-15)
 
 
+def test_phase_bounds_keep_the_values_the_tests_use():
+    """Phase noise and wobble amplitude are bounded at pi rad: 1 rad of
+    noise and a 0.09 rad ripple load, 3.142 rad does not."""
+    run = parse_config(
+        "shot.phase_noise_mrad = 1000\nshot.wobble_amplitude_urad = -90000\n"
+    )
+    assert run.shot.phase_noise_rms == 1.0
+    assert run.shot.wobble_amplitude == pytest.approx(-0.09, rel=1e-15)
+    for text in (
+        "shot.phase_noise_mrad = 3142",
+        "shot.wobble_amplitude_urad = -3.142e6",
+    ):
+        key = text.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"key '{key}': must be at most pi"):
+            parse_config(text)
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("medium.od = 2.0\ncampaign.n_cycles = 7\n")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from fields import complex_field
 from negdelay import excitation
 from negdelay.errors import ConfigError
 from negdelay.excitation import _gauss_legendre, phi0_trace, spectral_report
@@ -48,7 +49,7 @@ def _complex_population(sig, medium, depths, weights):
     docstring writes it, at the given depths z_k and weights w_k."""
     delta = _frequencies(sig)
     kernel = (np.sqrt(medium.gamma) / 2.0) / (medium.gamma / 2.0 - 1j * delta)
-    base = np.fft.ifft(sig.samples) * kernel
+    base = np.fft.ifft(complex_field(sig)) * kernel
     values = np.zeros(sig.n)
     for z, w in zip(depths, weights):
         ck = np.fft.fft(base * transfer_function(delta, z, medium.gamma))
@@ -99,7 +100,7 @@ def test_real_transforms_match_complex_reference(run, sigma_ns, od, detuning, n)
 def test_population_guard(run, fine_sig):
     """A field of ten times the amplitude carries a hundred photons, more
     than one excitation: N_e leaves [0, 1]."""
-    loud = SampledSignal(fine_sig.dt, fine_sig.t0, 10.0 * fine_sig.samples)
+    loud = SampledSignal(fine_sig.dt, fine_sig.t0, 10.0 * fine_sig.parts)
     with pytest.raises(ConfigError, match="lie in"):
         phi0_trace(loud, run.medium)
 
@@ -114,15 +115,75 @@ def test_frozen_default_observables(run, fine_sig):
 
 def test_spectral_report_transforms_once(run, fine_sig, monkeypatch):
     calls = []
-    ifft = np.fft.ifft
+    rfft = np.fft.rfft
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return ifft(*args, **kwargs)
+        return rfft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "ifft", counted)
+    monkeypatch.setattr(np.fft, "rfft", counted)
     spectral_report(fine_sig, run.medium)
     assert len(calls) == 1
+
+
+def _complex_report(sig, medium):
+    """Reference (T, tau_0, tau_T) from the full spectrum of the complex
+    field on ifft's convention, delta = +2 pi fftfreq: the formula the
+    spectral route used before it summed the half spectrum of each part."""
+    delta = _frequencies(sig)
+    spectrum = np.fft.ifft(complex_field(sig))
+    t = transfer_function(delta, medium.od, medium.gamma)
+    w = np.abs(spectrum) ** 2
+    tbar = float(np.sum(w * np.abs(t) ** 2) / np.sum(w))
+    w_out = np.abs(spectrum * t) ** 2
+    tg = group_delay(delta, medium.od, medium.gamma)
+    return tbar, (1.0 - tbar) / medium.gamma, float(np.sum(w_out * tg) / np.sum(w_out))
+
+
+_REPORT_CASES = [
+    # sigma ns, od, carrier detuning / gamma, grid length (None: fine grid)
+    (10.0, 4.0, 0.0, None),
+    (2.0, 4.0, 0.0, None),
+    (300.0, 4.0, 0.0, None),
+    (10.0, 0.0, 0.0, None),
+    (10.0, 16.0, 0.0, None),
+    (2.0, 16.0, 0.25, None),
+    (18.0, 2.0, 0.25, None),
+    (36.0, 4.0, 0.5, None),
+    (150.0, 0.5, 0.1, None),
+    (10.0, 4.0, 0.0, 4095),
+    (10.0, 4.0, 0.25, 4097),
+    (10.0, 8.0, 0.0, 6561),
+    (27.0, 4.0, 0.25, 8192),
+    # a grid coarse enough that its Nyquist bin holds 1% of the power
+    (2.0, 4.0, 0.0, 64),
+]
+
+
+@pytest.mark.parametrize(
+    "sigma_ns, od, detuning, n",
+    _REPORT_CASES,
+    ids=[
+        "-".join(map(str, case[:3])) + (f"-n{case[3]}" if case[3] else "")
+        for case in _REPORT_CASES
+    ],
+)
+def test_half_spectrum_report_matches_complex_reference(
+    run, sigma_ns, od, detuning, n
+):
+    """Each part's spectrum is Hermitian and |t|^2 and tau_g are even, so
+    the half spectrum of the parts sums to the full complex spectrum;
+    detuned carriers check that the parts' cross term cancels, odd
+    lengths that no Nyquist bin is counted and a coarse even grid that
+    its Nyquist bin is counted once."""
+    m = replace(run.medium, od=od)
+    pulse = PulseSpec(sigma_rms=sigma_ns * 1e-9, center_detuning=detuning * m.gamma)
+    sig = gaussian_field(pulse, m.gamma, n=n)
+    rep = spectral_report(sig, m)
+    tbar, tau_0, tau_t = _complex_report(sig, m)
+    assert abs(rep.transmission - tbar) <= 1e-14
+    assert abs(rep.tau_0 - tau_0) <= 1e-14 / m.gamma
+    assert abs(rep.tau_T - tau_t) <= 1e-13 * tau_0
 
 
 def test_zero_depth_report(run):
@@ -169,7 +230,7 @@ def test_vanishing_depth_limit_weights_by_input_spectrum(run):
     sig = gaussian_field(run.pulse, m.gamma)
     tau = spectral_report(sig, m).tau_T
     delta = _frequencies(sig)
-    w = np.abs(np.fft.ifft(sig.samples)) ** 2
+    w = np.abs(np.fft.ifft(complex_field(sig))) ** 2
     expected = float(
         np.sum(w * group_delay(delta, m.od, m.gamma)) / np.sum(w)
     )

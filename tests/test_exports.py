@@ -1,8 +1,8 @@
 """Public surface: every ``__all__`` entry resolves and has a caller in
 the CLI pipeline or the acceptance gate, names and fields that were
 removed from the package stay removed, ``pulse`` imports nothing from
-``medium`` and alone holds the grid policy and the split of the field
-into its real parts, and no module imports a name it never uses."""
+``medium`` and alone holds the grid policy, every FFT in the package is
+a real one, and no module imports a name it never uses."""
 
 import ast
 import dataclasses
@@ -27,7 +27,7 @@ from negdelay.montecarlo import (
     simulate_cycle,
 )
 from negdelay.oracle import build_model, weak_excitation_trace
-from negdelay.pulse import PulseSpec
+from negdelay.pulse import PulseSpec, SampledSignal
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "negdelay"
@@ -97,6 +97,8 @@ REMOVED_FIELDS = {
     RunConfig: ("seed",),
     ExcitationReport: ("ratio",),
     CycleData: ("cycle",),
+    # the field is stored once, as its real rows
+    SampledSignal: ("samples",),
 }
 
 
@@ -264,16 +266,24 @@ def test_no_module_imports_an_unused_name():
     assert unused == []
 
 
-def test_only_pulse_splits_the_field():
-    # SampledSignal.parts splits the field into its real parts; each
-    # route transforms what it returns
-    strays = [
-        f"{path.stem}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != "pulse"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute)
-        and node.attr in ("real", "imag")
-        and getattr(node.value, "attr", None) == "samples"
-    ]
+#: the real transforms on one convention, delta = -2 pi rfftfreq: the
+#: field is stored as real rows, so no route needs a complex transform
+REAL_FFTS = {"rfft", "irfft", "rfftfreq"}
+
+
+def test_every_fft_in_src_is_real():
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                getattr(node.value, "attr", None) == "fft"
+            ):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            strays += [
+                f"{path.stem}:{node.lineno} {n}" for n in names if n not in REAL_FFTS
+            ]
     assert strays == []

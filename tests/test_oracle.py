@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fields import complex_field
 from negdelay.errors import ConfigError, ConvergenceError
 from negdelay.excitation import phi0_trace, spectral_report
 from negdelay.medium import conversion_factor
@@ -182,7 +183,7 @@ def test_truncated_ringdown_is_rejected(run, fine_sig):
     shifted = SampledSignal(
         dt=fine_sig.dt,
         t0=fine_sig.t0,
-        samples=np.roll(fine_sig.samples, 3000),
+        parts=np.roll(fine_sig.parts, 3000, axis=-1),
     )
     with pytest.raises(ConfigError, match="residual excitation"):
         weak_excitation_trace(shifted, run.medium, run.n_atoms)
@@ -198,7 +199,9 @@ def test_two_tone_mixture_averages_frequency_diagonally(run):
     sb = gaussian_field(pb, m.gamma, n=8192)
     tra = weak_excitation_trace(sa, m, run.n_atoms)
     trb = weak_excitation_trace(sb, m, run.n_atoms)
-    mix = SampledSignal(dt=sa.dt, t0=sa.t0, samples=sa.samples + sb.samples)
+    # the real parts add; only the detuned tone has an imaginary part
+    parts = np.stack((sa.parts[0] + sb.parts[0], sb.parts[1]))
+    mix = SampledSignal(dt=sa.dt, t0=sa.t0, parts=parts)
     trm = weak_excitation_trace(mix, m, run.n_atoms)
     expected = (
         tra.transmission * tra.tau_transmitted()
@@ -280,7 +283,7 @@ def _step_loop_trace(sig, medium, n_atoms=64):
     theta, gamma_side = build_model(medium, sig.dt, n_atoms=n_atoms)
     c, s = np.cos(theta), np.sin(theta)
     hd = np.exp(-gamma_side * sig.dt / 4.0)
-    bins = (sig.samples * np.sqrt(sig.dt)).tolist()
+    bins = (complex_field(sig) * np.sqrt(sig.dt)).tolist()
     n = len(bins)
 
     psi = np.zeros((n + 1, n_atoms), np.complex128)
@@ -359,7 +362,8 @@ def _single_row_trace(sig, medium, n_atoms=64):
     fb = 1.0 / (1.0 - p * h)
     h *= fb
     fb *= np.conj(q)
-    buf = np.fft.fft(sig.samples, size)
+    field = complex_field(sig)
+    buf = np.fft.fft(field, size)
     buf *= np.sqrt(sig.dt)
     fa = q * h * buf
     h *= q * q
@@ -369,7 +373,7 @@ def _single_row_trace(sig, medium, n_atoms=64):
         buf *= h
     np.fft.ifft(buf, out=buf)
     dnorm = float(np.vdot(buf[:n], buf[:n]).real)
-    transmission = dnorm / (sig.dt * float(np.vdot(sig.samples, sig.samples).real))
+    transmission = dnorm / (sig.dt * float(np.vdot(field, field).real))
     buf[:n] = buf[n - 1 :: -1]
     buf[n:] = 0.0
     fb *= np.fft.fft(buf, out=buf)

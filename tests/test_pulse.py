@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fields import complex_field
 from negdelay import pulse as pulse_module
 from negdelay.errors import ConfigError
 from negdelay.excitation import spectral_report
@@ -19,13 +20,13 @@ from negdelay.pulse import (
 
 def test_unit_normalization(run):
     sig = gaussian_field(run.pulse, run.medium.gamma)
-    assert np.sum(np.abs(sig.samples) ** 2) * sig.dt == pytest.approx(1.0, rel=1e-12)
+    assert np.sum(sig.parts**2) * sig.dt == pytest.approx(1.0, rel=1e-12)
 
 
 def test_intensity_rms_duration(run):
     sig = gaussian_field(run.pulse, run.medium.gamma)
     t = sig.axis()
-    w = np.abs(sig.samples) ** 2
+    w = np.sum(sig.parts**2, axis=0)
     mean = np.sum(t * w) / np.sum(w)
     rms = np.sqrt(np.sum((t - mean) ** 2 * w) / np.sum(w))
     assert rms == pytest.approx(run.pulse.sigma_rms, rel=1e-3)
@@ -35,7 +36,7 @@ def test_spectral_rms_matches_convention(run):
     # intensity-rms sigma in time pairs with 1/(2 sigma) in frequency
     sig = gaussian_field(run.pulse, run.medium.gamma)
     d = 2.0 * np.pi * np.fft.fftfreq(sig.n, d=sig.dt)
-    w = np.abs(np.fft.ifft(sig.samples)) ** 2
+    w = np.abs(np.fft.ifft(complex_field(sig))) ** 2
     mean = np.sum(d * w) / np.sum(w)
     rms = np.sqrt(np.sum((d - mean) ** 2 * w) / np.sum(w))
     assert rms == pytest.approx(1.0 / (2.0 * run.pulse.sigma_rms), rel=5e-3)
@@ -111,12 +112,12 @@ def test_fine_grid_ceiling(run, monkeypatch):
 @pytest.mark.parametrize("n", [0, 1])
 def test_sample_count_of_at_least_two_required(n):
     with pytest.raises(ConfigError, match="sample count must be >= 2"):
-        SampledSignal(dt=1e-9, t0=0.0, samples=np.zeros(n, np.complex128))
+        SampledSignal(dt=1e-9, t0=0.0, parts=np.zeros(n))
 
 
 def test_sample_step_must_be_positive():
     with pytest.raises(ConfigError, match="sample step"):
-        SampledSignal(dt=0.0, t0=0.0, samples=np.zeros(4, np.complex128))
+        SampledSignal(dt=0.0, t0=0.0, parts=np.zeros(4))
 
 
 def test_pulse_spec_validation():
@@ -146,7 +147,7 @@ def test_time_shift_covariance(run):
     """Delaying the input leaves the mean transmission unchanged."""
     sig = gaussian_field(run.pulse, run.medium.gamma)
     k = 64
-    shifted = SampledSignal(dt=sig.dt, t0=sig.t0, samples=np.roll(sig.samples, k))
+    shifted = SampledSignal(sig.dt, sig.t0, np.roll(sig.parts, k, axis=-1))
     assert spectral_report(shifted, run.medium).transmission == pytest.approx(
         spectral_report(sig, run.medium).transmission, rel=1e-12
     )
