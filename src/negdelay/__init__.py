@@ -6,6 +6,6 @@ click/no-click cross-phase experiment shot by shot, and runs the full
 statistical pipeline from raw shots to excitation-time ratios.
 """
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"
 
 __all__ = ["__version__"]

@@ -85,7 +85,7 @@ STEP_LIFETIME_FRACTION = 0.02
 STEP_SIGMA_FRACTION = 0.05
 #: most samples of a fine grid: 8x the largest that the tests, defaults
 #: and sweeps use (32768, a 700 ns pulse at a 26 ns lifetime). The collision
-#: model pads a grid by at most 48/15, so a frame stays within 2**21 points.
+#: model runs on the grid itself, in 26 grid-sized arrays at 64 emitters.
 MAX_GRID_POINTS = 1 << 18
 
 

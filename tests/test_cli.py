@@ -147,8 +147,8 @@ def test_simulate_is_byte_deterministic(tmp_path, monkeypatch):
     [
         # a cloud of od 20 needs more emitters than the default 64
         ("theory", "medium.od = 20\noracle.n_atoms = 128\n"),
-        # collision-model frames of radix 5, 2 and 3 (15000, 9216 and
-        # 11520 points)
+        # short and long pulses: the collision model's recursions on
+        # grids of 5, 36 and 150 ns pulses
         ("sweep", "sweep.sigma_rms_ns = 5, 36, 150\n"),
         # a detuned carrier makes the field complex: both routes run its
         # real and imaginary parts apart
