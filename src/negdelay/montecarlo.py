@@ -13,8 +13,9 @@ the light. The probe phase trace is linear in the photon fates,
     phase(t) = n_T phi_T1(t) + n_S phi_S1(t) + noise,
 
 with per-photon shapes derived from the theory modules and i.i.d.
-Gaussian noise per sample. Everything downstream (post-selection
-averaging, backgrounds, systematics injection) consumes these shots.
+Gaussian noise per sample; ``config.ShotConfig`` sets the window, the
+budget and the noise, and holds their bounds. Everything downstream
+(post-selection averaging, backgrounds, systematics injection) consumes these shots.
 
 The analysis reads only each cycle's two class sums (clicked and silent
 shots) and counts, and those are all a cycle draws by default: after
@@ -55,6 +56,7 @@ from typing import Iterator
 import numpy as np
 
 from .analysis import class_sums
+from .config import ShotConfig
 from .errors import ConfigError
 from .excitation import phi0_trace, spectral_report
 from .medium import MediumSpec, conversion_factor
@@ -62,7 +64,6 @@ from .oracle import weak_excitation_trace
 from .pulse import PulseSpec, gaussian_field
 
 __all__ = [
-    "ShotConfig",
     "CycleData",
     "MODES",
     "bin_average",
@@ -73,68 +74,6 @@ __all__ = [
 ]
 
 MODES = ("normal", "no_atoms", "bypass_atoms", "no_signal")
-#: most float64 values in a cycle array (n_samples^2 covariance, shots x
-#: n_samples traces): 32 MiB, 78x the default cycle; a typo could ask for GB
-MAX_CYCLE_ELEMENTS = 1 << 22
-#: most mean photons per shot: numpy's Generator.poisson refuses means
-#: above about 9.2e18, and n_T + n_S must stay an int64; a real pulse
-#: holds about 100
-MAX_MEAN_PHOTONS = 1e15
-
-
-@dataclass(frozen=True)
-class ShotConfig:
-    """Acquisition geometry, photon budget and noise for one shot.
-
-    The window is n_samples bins of dt; the defaults live in ``config``.
-    """
-
-    n_samples: int
-    dt: float
-    mean_photons: float
-    target_click_prob: float
-    phase_noise_rms: float
-    background_click_fraction: float
-    lowpass_enabled: bool
-    lowpass_cutoff: float
-    shots_per_cycle: int
-    pulse_center: float
-    wobble_amplitude: float
-    wobble_frequency: float
-    wobble_phase: float
-
-    def __post_init__(self):
-        if self.n_samples < 1 or self.dt <= 0.0:
-            raise ConfigError("need n_samples >= 1 and dt > 0")
-        if not 0.0 <= self.mean_photons <= MAX_MEAN_PHOTONS:
-            raise ConfigError(f"mean_photons must lie in [0, {MAX_MEAN_PHOTONS:g}]")
-        if self.wobble_amplitude != 0.0 and self.mean_photons == 0.0:
-            raise ConfigError("wobble injection needs mean_photons > 0")
-        if not 0.0 <= self.target_click_prob < 1.0:
-            raise ConfigError("target_click_prob must lie in [0, 1)")
-        if not 0.0 <= self.background_click_fraction <= 0.2:
-            raise ConfigError("background_click_fraction must lie in [0, 0.2]")
-        if self.phase_noise_rms < 0.0:
-            raise ConfigError("phase_noise_rms must be non-negative")
-        if self.lowpass_cutoff <= 0.0 or self.wobble_frequency <= 0.0:
-            raise ConfigError("filter and wobble frequencies must be positive")
-        if self.shots_per_cycle < 1:
-            raise ConfigError("shots_per_cycle must be at least 1")
-        rows = max(self.n_samples, self.shots_per_cycle)
-        if rows * self.n_samples > MAX_CYCLE_ELEMENTS:
-            raise ConfigError(
-                f"n_samples {self.n_samples} and shots_per_cycle {self.shots_per_cycle}"
-                f" need more than {MAX_CYCLE_ELEMENTS} elements in one cycle array"
-            )
-
-    def sample_times(self) -> np.ndarray:
-        """Bin centers of the acquisition window, seconds."""
-        return (np.arange(self.n_samples) + 0.5) * self.dt
-
-    def bin_edges(self) -> np.ndarray:
-        """Bin edges of the acquisition window on the pulse's time axis,
-        which puts the pulse peak at t = 0, seconds."""
-        return np.arange(self.n_samples + 1) * self.dt - self.pulse_center
 
 
 @dataclass(frozen=True)

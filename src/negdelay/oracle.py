@@ -129,10 +129,6 @@ class WeakTrace:
         """integral(W dt), seconds."""
         return float(np.trapezoid(self.weak, dx=self.dt))
 
-    def tau_unconditioned(self) -> float:
-        """integral(N_e dt), seconds."""
-        return float(np.trapezoid(self.population, dx=self.dt))
-
 
 def build_model(medium: MediumSpec, dt: float, n_atoms: int) -> tuple[float, float]:
     """Rotation angle and side rate of the chain for one step size,

@@ -208,12 +208,12 @@ def test_criterion_03_reference_operating_point(run, fine_sig):
 
 def test_criterion_04_sign_structure(run, fine_sig, weak):
     sp_pos = _spectral_ratio(fine_sig, run.medium)
-    or_pos = weak.tau_transmitted() / weak.tau_unconditioned()
+    or_pos = weak.tau_transmitted() / np.trapezoid(weak.population, dx=weak.dt)
     m = replace(run.medium, od=3.0)
     sig = gaussian_field(replace(run.pulse, sigma_rms=36e-9), m.gamma)
     sp_neg = _spectral_ratio(sig, m)
     tr = weak_excitation_trace(sig, m, run.n_atoms)
-    or_neg = tr.tau_transmitted() / tr.tau_unconditioned()
+    or_neg = tr.tau_transmitted() / np.trapezoid(tr.population, dx=tr.dt)
     _report(
         4,
         "delay sign structure",

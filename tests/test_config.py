@@ -3,6 +3,7 @@ the hash of the parsed values."""
 
 import hashlib
 import math
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -207,7 +208,7 @@ def test_sweep_lists():
 
 #: keys holding one float: every default of that type in the key table
 FLOAT_KEYS = sorted(
-    key for key, (_, default) in _SCHEMA.items() if type(default) is float
+    key for key, (_, default, *_) in _SCHEMA.items() if type(default) is float
 )
 
 
@@ -219,15 +220,58 @@ def test_non_finite_float_is_refused(key):
             parse_config(f"{key} = {value}")
 
 
+#: the record field of every key whose name carries a unit
+UNIT_FIELDS = {
+    "medium.gamma_MHz": "medium.gamma",
+    "medium.probe_detuning_MHz": "medium.probe_detuning",
+    "pulse.sigma_rms_ns": "pulse.sigma_rms",
+    "pulse.center_detuning_MHz": "pulse.center_detuning",
+    "shot.dt_ns": "shot.dt",
+    "shot.phase_noise_mrad": "shot.phase_noise_rms",
+    "shot.lowpass_cutoff_MHz": "shot.lowpass_cutoff",
+    "shot.pulse_center_ns": "shot.pulse_center",
+    "shot.wobble_amplitude_urad": "shot.wobble_amplitude",
+    "shot.wobble_frequency_MHz": "shot.wobble_frequency",
+    "shot.wobble_phase_rad": "shot.wobble_phase",
+    "sweep.sigma_rms_ns": "sweep_sigmas",
+}
+#: MHz keys that are frequencies in Hz, not angular rad/s
+HZ_KEYS = {"shot.lowpass_cutoff_MHz", "shot.wobble_frequency_MHz"}
+#: ns keys kept in ns: the sweep's durations label its rows
+NS_KEYS = {"sweep.sigma_rms_ns"}
+#: SI value of a number written in each unit, in the parser's float order
+#: (2 pi first for angular MHz)
+TO_SI = {
+    "MHz": lambda v: TWO_PI * v * 1e6,
+    "ns": lambda v: v * 1e-9,
+    "mrad": lambda v: v * 1e-3,
+    "urad": lambda v: v * 1e-6,
+    "rad": lambda v: v,
+}
+
+
 def test_unit_conversions():
-    run = parse_config(
-        "shot.phase_noise_mrad = 80\n"
-        "shot.wobble_amplitude_urad = 90\n"
-        "pulse.center_detuning_MHz = 3.0\n"
+    """Every key whose name carries a unit reaches its field converted
+    from that unit, to the bit. 11.7 tells each conversion from the other
+    float orders of its product: 2 pi (11.7 * 1e6), 11.7 (2 pi * 1e6) and
+    11.7 / 1e9, / 1e3 or / 1e6 each differ from it in the last bit."""
+    assert {key for key in _SCHEMA if key.rsplit("_", 1)[-1] in TO_SI} == set(
+        UNIT_FIELDS
     )
-    assert run.shot.phase_noise_rms == pytest.approx(0.080, rel=1e-15)
-    assert run.shot.wobble_amplitude == pytest.approx(90e-6, rel=1e-15)
-    assert run.pulse.center_detuning == pytest.approx(TWO_PI * 3e6, rel=1e-15)
+    written = 11.7
+    wrong = []
+    for key, field in UNIT_FIELDS.items():
+        if key in HZ_KEYS:
+            expected = written * 1e6
+        elif key in NS_KEYS:
+            expected = (written, 36.0)
+        else:
+            expected = TO_SI[key.rsplit("_", 1)[-1]](written)
+        text = f"{key} = {written!r}" + (", 36" if key in NS_KEYS else "")
+        got = attrgetter(field)(parse_config(text))
+        if got != expected:
+            wrong.append((key, got, expected))
+    assert wrong == []
 
 
 def test_phase_bounds_keep_the_values_the_tests_use():
@@ -264,3 +308,26 @@ def test_readme_example_parses():
     example = section.split("```text\n", 1)[1].split("```", 1)[0]
     run = parse_config(example)
     assert run.n_cycles == 400 and run.sweep_ods == (3.0,)
+
+
+#: the record each section's keys fill
+RECORDS = {"medium": "MediumSpec", "pulse": "PulseSpec", "shot": "ShotConfig"}
+
+
+def test_readme_key_table_lists_every_key():
+    """The key table under "### Configuration" in README.md has one row
+    per key, with its default and the record field it sets."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.split("|")[1:-1]]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    keys = [key.strip("`") for key, *_ in rows]
+    assert sorted(keys) == sorted(_SCHEMA)
+    for key, (_, _, default, sets) in zip(keys, rows):
+        parser, value, field, _ = _SCHEMA[key]
+        assert parser(default) == value, key
+        record = RECORDS.get(key.split(".")[0], "RunConfig")
+        assert sets == f"`{record}.{field}`", key

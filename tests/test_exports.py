@@ -14,14 +14,13 @@ from pathlib import Path
 
 import negdelay
 from negdelay.analysis import Accumulator, IntegralResult, PostSelectedResult
-from negdelay.config import RunConfig
+from negdelay.config import RunConfig, ShotConfig
 from negdelay.excitation import ExcitationReport
 from negdelay.medium import MediumSpec
 from negdelay.montecarlo import (
     CycleData,
     DetectionCalibration,
     PerPhotonShapes,
-    ShotConfig,
     derive_shapes,
     run_campaign,
     simulate_cycle,

@@ -69,7 +69,7 @@ KINDS = [m for m in MODES if m != "normal"]
 def _perturbed(key: str) -> str:
     if key in STEPS:
         return STEPS[key]
-    parser, default = _SCHEMA[key]
+    parser, default, *_ = _SCHEMA[key]
     value = parser(BASE[key]) if key in BASE else default
     if isinstance(value, bool):
         return str(not value)
